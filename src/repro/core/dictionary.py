@@ -2,40 +2,39 @@
 
 A HOPE dictionary stores only the *left boundary* of each interval; a
 lookup is a "greatest boundary <= suffix" (predecessor) query returning
-the interval's code and symbol length. Four structures, as in the
-paper (Table 1), all behaviourally identical and cross-checked by
-tests:
+the interval's code and symbol length. Two runtime structures:
 
-* ``ArrayDict``      — Single-Char (256 entries) and Double-Char
-                       (256*257 entries, terminator layout): one O(1)
-                       array probe;
-* ``TrieDict(model="bitmap")`` — the 3-Grams/4-Grams bitmap-trie
-                       (Figure 6): breadth-first nodes of
-                       256-bit-bitmap + 32-bit counter (36 B/node);
-* ``TrieDict(model="art")``    — the ART-based dictionary for ALM /
-                       ALM-Improved: same lookup, ART-style adaptive
-                       node memory accounting with full (non-optimistic)
-                       path compression, per the paper's three ART
-                       modifications;
-* ``SortedBoundaryDict`` — binary search over the boundary list; the
-                       baseline the paper reports the bitmap-trie to be
-                       2.3x faster than.
+* ``ArrayDict``          — Single-Char (256 entries) and Double-Char
+                           (256*257 entries, terminator layout): one
+                           O(1) array probe;
+* ``SortedBoundaryDict`` — every variable-interval scheme (3/4-Grams,
+                           ALM, ALM-Improved): one C ``bisect`` over
+                           the sorted boundary list, on a window of the
+                           suffix no longer than the longest boundary.
 
-Memory accounting is analytic (see ``memory_bytes``): Python object
-overhead is irrelevant to the paper's numbers, which are layout
-arithmetic (DESIGN.md §3/§5).
+The paper's bitmap-trie (3/4-Grams, Figure 6) and ART-based trie
+(ALM*) are 2.3x faster than binary search in C++; in Python an
+interpreted trie walk is 2-3x *slower* than the ``bisect`` builtin.
+They are therefore kept only as *layout models*: ``SortedBoundaryDict``
+charges the bytes of the scheme's trie (``model="bitmap"`` or
+``"art"``), computed from the sorted boundaries and their adjacent
+common prefixes. Python object overhead is irrelevant to the paper's
+numbers, which are layout arithmetic (DESIGN.md §3/§5).
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_right
+from typing import List, Sequence, Tuple
 
 from .intervals import Interval
+from .strutil import lcp_len
 
 Lookup = Tuple[int, int, int]  # (code, nbits, symbol_len)
 
 # Per-entry value cost shared by all structures: 32-bit code + 8-bit length.
 _VALUE_BYTES = 5
+# Bitmap-trie node (Figure 6): 256-bit child bitmap + 32-bit prefix counter.
+_BITMAP_NODE_BYTES = 36
 
 
 class BaseDict:
@@ -52,23 +51,36 @@ class BaseDict:
 
 
 class SortedBoundaryDict(BaseDict):
-    """Binary search over sorted left boundaries — correctness baseline."""
+    """Predecessor search by ``bisect`` over the sorted left boundaries.
 
-    def __init__(self, intervals: Sequence[Interval]):
+    The lookup bisects on ``src[pos:pos + max_boundary_len]``. The window
+    is exact: a boundary ``b`` no longer than ``L`` satisfies
+    ``b <= s`` iff ``b <= s[:L]``.
+
+    ``model`` names the trie layout whose bytes ``memory_bytes`` reports:
+    ``"bitmap"`` (3/4-Grams) or ``"art"`` (ALM / ALM-Improved).
+    """
+
+    def __init__(self, intervals: Sequence[Interval], model: str = "bitmap"):
+        if model not in ("bitmap", "art"):
+            raise ValueError("model must be 'bitmap' or 'art'")
+        self.model = model
         self.boundaries: List[bytes] = [iv.lo for iv in intervals]
+        for a, b in zip(self.boundaries, self.boundaries[1:]):
+            if not a < b:
+                raise ValueError(f"boundaries not strictly sorted: {a!r} >= {b!r}")
         self.values: List[Lookup] = [(iv.code, iv.nbits, len(iv.symbol)) for iv in intervals]
         self.max_boundary_len: int = max(len(b) for b in self.boundaries)
 
     def lookup(self, src: bytes, pos: int) -> Lookup:
-        suffix = src[pos:]
-        i = bisect_right(self.boundaries, suffix) - 1
+        i = bisect_right(self.boundaries, src[pos : pos + self.max_boundary_len]) - 1
         if i < 0:
-            raise KeyError(f"no interval contains {suffix!r} (incomplete dictionary)")
+            raise KeyError(f"no interval contains {src[pos:]!r} (incomplete dictionary)")
         return self.values[i]
 
     def memory_bytes(self) -> int:
-        # boundary bytes + 8B offset per entry + value payload
-        return sum(len(b) for b in self.boundaries) + len(self.boundaries) * (8 + _VALUE_BYTES)
+        trie_bytes = bitmap_trie_bytes if self.model == "bitmap" else art_trie_bytes
+        return trie_bytes(self.boundaries) + len(self) * _VALUE_BYTES
 
     def __len__(self) -> int:
         return len(self.boundaries)
@@ -83,6 +95,8 @@ class ArrayDict(BaseDict):
     ``[b1, b1\\x00)``, i.e. the exact string ``b1``), entries
     ``b1*257 + 1 + b2`` are the 2-byte symbols.
     """
+
+    model = "array"
 
     def __init__(self, intervals: Sequence[Interval], width: int):
         if width not in (1, 2):
@@ -111,128 +125,67 @@ class ArrayDict(BaseDict):
         return len(self.codes)
 
 
-class _TrieNode:
-    __slots__ = ("children", "labels", "term", "max_val")
-
-    def __init__(self) -> None:
-        self.children: Dict[int, "_TrieNode"] = {}
-        self.labels: List[int] = []  # sorted
-        self.term: Optional[int] = None  # value index if a boundary ends here
-        self.max_val: int = -1  # max value index in subtree
+# -- trie layout models ---------------------------------------------------
+# The byte trie over sorted distinct boundaries has one node per distinct
+# prefix (the root is the empty prefix). Boundary b_i adds the nodes at
+# depths lcp(b_{i-1}, b_i) + 1 .. len(b_i), so both models need only the
+# adjacent common-prefix lengths.
 
 
-class TrieDict(BaseDict):
-    """Trie over interval left boundaries with predecessor lookup.
+def bitmap_trie_bytes(boundaries: Sequence[bytes]) -> int:
+    """Bytes of the Figure 6 bitmap-trie: one 36 B node per distinct prefix."""
+    nodes = 1
+    prev = b""
+    for b in boundaries:
+        nodes += len(b) - lcp_len(prev, b)
+        prev = b
+    return nodes * _BITMAP_NODE_BYTES
 
-    ``model="bitmap"`` reproduces the paper's bitmap-trie accounting
-    (36 B per node: 256-bit bitmap + 32-bit prefix-counter; Figure 6),
-    appropriate for the bounded-depth 3-Grams/4-Grams boundaries.
 
-    ``model="art"`` reproduces the modified-ART accounting for ALM
-    boundaries of arbitrary length: single-child chains collapse into
-    a stored full prefix (no optimistic skipping, per §4.2), and each
-    branching node is charged the smallest fitting adaptive node type
-    (Node4/16/48/256 + 16 B header).
+def _art_node_bytes(fanout: int) -> int:
+    header = 16
+    if fanout <= 4:
+        return header + 4 * 1 + 4 * 8
+    if fanout <= 16:
+        return header + 16 * 1 + 16 * 8
+    if fanout <= 48:
+        return header + 256 + 48 * 8
+    return header + 256 * 8
+
+
+def art_trie_bytes(boundaries: Sequence[bytes]) -> int:
+    """Bytes of the modified ART (§4.2) over the boundaries.
+
+    A node survives if it is the root, ends a boundary, or has other
+    than one child; it is charged the smallest adaptive node type
+    (Node4/16/48/256 + 16 B header) that holds its children plus its
+    terminal entry. Every other node is folded into the full stored
+    prefix below it (no optimistic skipping) at 1 byte each.
     """
-
-    def __init__(self, intervals: Sequence[Interval], model: str = "bitmap"):
-        if model not in ("bitmap", "art"):
-            raise ValueError("model must be 'bitmap' or 'art'")
-        self.model = model
-        self.values: List[Lookup] = [(iv.code, iv.nbits, len(iv.symbol)) for iv in intervals]
-        self.max_boundary_len: int = max(len(iv.lo) for iv in intervals)
-        self.root = _TrieNode()
-        self.n_entries = len(intervals)
-        for idx, iv in enumerate(intervals):
-            node = self.root
-            node.max_val = max(node.max_val, idx)
-            for b in iv.lo:
-                child = node.children.get(b)
-                if child is None:
-                    child = _TrieNode()
-                    node.children[b] = child
-                    node.labels.append(b)  # boundaries sorted -> labels arrive sorted
-                node = child
-                node.max_val = max(node.max_val, idx)
-            if node.term is not None:
-                raise ValueError(f"duplicate boundary {iv.lo!r}")
-            node.term = idx
-
-    def _subtree_max(self, node: _TrieNode) -> int:
-        return node.max_val
-
-    def lookup(self, src: bytes, pos: int) -> Lookup:
-        node = self.root
-        d = pos
-        n = len(src)
-        cand = -1  # best value index strictly below the current path tip
-        while True:
-            if d >= n:
-                if node.term is not None:
-                    return self.values[node.term]
-                break
-            if node.term is not None:
-                cand = node.term
-            c = src[d]
-            labels = node.labels
-            # greatest label < c as a deeper (hence greater) candidate
-            j = bisect_left(labels, c)
-            if j > 0:
-                cand = node.children[labels[j - 1]].max_val
-            child = node.children.get(c)
-            if child is None:
-                break
-            node = child
-            d += 1
-        if cand < 0:
-            raise KeyError(f"no interval contains {src[pos:]!r} (incomplete dictionary)")
-        return self.values[cand]
-
-    # -- memory models ---------------------------------------------------
-    def _count_bitmap_nodes(self) -> int:
-        count = 0
-        stack = [self.root]
-        while stack:
-            nd = stack.pop()
-            count += 1
-            stack.extend(nd.children.values())
-        return count
-
-    @staticmethod
-    def _art_node_bytes(fanout: int) -> int:
-        header = 16
-        if fanout <= 4:
-            return header + 4 * 1 + 4 * 8
-        if fanout <= 16:
-            return header + 16 * 1 + 16 * 8
-        if fanout <= 48:
-            return header + 256 + 48 * 8
-        return header + 256 * 8
-
-    def _art_memory(self) -> int:
-        # Collapse single-child, non-terminal chains into prefixes; charge
-        # each remaining node an adaptive layout + its stored full prefix.
-        total = 0
-        stack = [self.root]
-        while stack:
-            nd = stack.pop()
-            fanout = len(nd.children) + (1 if nd.term is not None else 0)
-            total += self._art_node_bytes(max(1, fanout))
-            for child in nd.children.values():
-                # collapse this child's unary chain into a stored prefix
-                chain = 0
-                cur = child
-                while len(cur.children) == 1 and cur.term is None:
-                    chain += 1
-                    cur = next(iter(cur.children.values()))
-                total += chain  # full common prefix stored (no OCPS)
-                stack.append(cur)
-        return total
-
-    def memory_bytes(self) -> int:
-        if self.model == "bitmap":
-            return self._count_bitmap_nodes() * 36 + self.n_entries * _VALUE_BYTES
-        return self._art_memory() + self.n_entries * _VALUE_BYTES
-
-    def __len__(self) -> int:
-        return self.n_entries
+    total = 0
+    nodes = 1
+    survivors = 1  # the root
+    # The surviving nodes on the last boundary's path, shallowest first,
+    # as [depth, children, is_terminal]. Depths between two entries are
+    # single-child chain nodes so far.
+    path = [[0, 0, False]]
+    prev = b""
+    for b in boundaries:
+        d = lcp_len(prev, b)
+        nodes += len(b) - d
+        while path[-1][0] > d:
+            _, children, term = path.pop()
+            total += _art_node_bytes(max(1, children + term))
+        if path[-1][0] < d:  # a chain node on prev's path gains a second child
+            path.append([d, 1, False])
+            survivors += 1
+        if len(b) > d:
+            path[-1][1] += 1
+            path.append([len(b), 0, True])
+            survivors += 1
+        else:  # only the empty boundary ends at the root
+            path[-1][2] = True
+        prev = b
+    for _, children, term in path:
+        total += _art_node_bytes(max(1, children + term))
+    return total + (nodes - survivors)

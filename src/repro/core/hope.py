@@ -15,27 +15,32 @@ alm            ALM               Fixed-Length   ART-based trie
 alm-improved   ALM-Improved      Hu-Tucker      ART-based trie
 =============  ================  =============  ==============
 
+The two trie columns are memory models: every variable-interval scheme
+looks up with one ``SortedBoundaryDict`` (``bisect``) and reports the
+bytes of its paper trie layout (see ``dictionary``).
+
 Build timing is recorded per module (symbol_select / code_assign /
 dict_build) to reproduce Figure 9. Interval access probabilities come
 from a test encoding of the samples over the chosen intervals (§4.2),
-using the binary-search baseline dictionary.
+with the same bounded-window binary search as the runtime lookup.
 """
 from __future__ import annotations
 
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from . import symbol_select as ss
 from .code_assign import assign_fixed, assign_hu_tucker
-from .dictionary import ArrayDict, BaseDict, SortedBoundaryDict, TrieDict
+from .dictionary import ArrayDict, BaseDict, SortedBoundaryDict
 from .encoder import EncodedKey, Encoder
 from .intervals import Interval, build_intervals, check_order_preserving, with_codes
 
 SCHEMES = ("single", "double", "3grams", "4grams", "alm", "alm-improved")
 
-#: scheme -> (selector kind, fixed dictionary size or None, code kind, dict kind)
+#: scheme -> (selector kind, fixed dictionary size or None, code kind,
+#: dictionary memory model)
 SCHEME_TABLE = {
     "single": ("single", 256, "hu-tucker", "array"),
     "double": ("double", 256 * 257, "hu-tucker", "array"),
@@ -65,10 +70,6 @@ class HopeEncoder:
 
     def encode(self, key: bytes) -> EncodedKey:
         return self.encoder.encode(key)
-
-    def encode_many(self, keys: Sequence[bytes]) -> List[EncodedKey]:
-        enc = self.encoder.encode
-        return [enc(k) for k in keys]
 
     def compression_rate(self, keys: Sequence[bytes], byte_aligned: bool = False) -> float:
         """uncompressed bytes / compressed bytes over ``keys``.
@@ -112,29 +113,24 @@ def _test_encode_probabilities(
 ) -> List[float]:
     """Interval hit counts from test-encoding the samples (§4.2)."""
     boundaries = [iv.lo for iv in intervals]
+    window = max(len(b) for b in boundaries)
     symlens = [len(iv.symbol) for iv in intervals]
     hits = [0] * len(intervals)
     for key in samples:
         pos = 0
         n = len(key)
         while pos < n:
-            i = bisect_right(boundaries, key[pos:]) - 1
+            i = bisect_right(boundaries, key[pos : pos + window]) - 1
             hits[i] += 1
             pos += symlens[i]
     return [float(h) for h in hits]
 
 
-def _build_dictionary(kind: str, intervals: Sequence[Interval]) -> BaseDict:
-    if kind == "array":
+def _build_dictionary(model: str, intervals: Sequence[Interval]) -> BaseDict:
+    if model == "array":
         width = 1 if len(intervals) == 256 else 2
         return ArrayDict(intervals, width=width)
-    if kind == "bitmap":
-        return TrieDict(intervals, model="bitmap")
-    if kind == "art":
-        return TrieDict(intervals, model="art")
-    if kind == "sorted":
-        return SortedBoundaryDict(intervals)
-    raise ValueError(f"unknown dictionary kind {kind}")
+    return SortedBoundaryDict(intervals, model=model)
 
 
 def build_hope(
@@ -143,20 +139,15 @@ def build_hope(
     max_dict_entries: int = 1 << 16,
     freqs=None,
     validate: bool = False,
-    dictionary_kind: Optional[str] = None,
 ) -> HopeEncoder:
     """Run HOPE's Build phase and return a ready-to-encode instance.
 
     ``freqs`` optionally supplies pre-computed pattern frequencies (the
-    Spark path); ``validate`` runs the string-axis model checks;
-    ``dictionary_kind`` overrides the scheme's dictionary structure
-    (used by the bitmap-trie-vs-binary-search microbenchmark).
+    Spark path); ``validate`` runs the string-axis model checks.
     """
     if scheme not in SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    sel_kind, fixed_size, code_kind, dict_kind = SCHEME_TABLE[scheme]
-    if dictionary_kind is not None:
-        dict_kind = dictionary_kind
+    sel_kind, fixed_size, code_kind, dict_model = SCHEME_TABLE[scheme]
     if fixed_size is not None:
         max_dict_entries = fixed_size
 
@@ -173,7 +164,7 @@ def build_hope(
     t2 = time.perf_counter()
 
     intervals = with_codes(intervals, codes)
-    dictionary = _build_dictionary(dict_kind, intervals)
+    dictionary = _build_dictionary(dict_model, intervals)
     t3 = time.perf_counter()
 
     if validate:

@@ -6,8 +6,10 @@ axis arithmetic every other module needs:
 
 * ``increment`` — the tight right boundary of the interval covered by a
   symbol (smallest string greater than every extension of the symbol);
-* ``lcp`` / ``interval_symbol`` — the max-length common prefix of an
-  interval ``[lo, hi)``, which is the dictionary symbol of that interval;
+* ``lcp`` / ``lcp_len`` — the longest common prefix of two strings (and
+  its length, which the dictionary memory models and SuRF count in);
+* ``interval_symbol`` — the max-length common prefix of an interval
+  ``[lo, hi)``, which is the dictionary symbol of that interval;
 * bit-code utilities — codes are ``(value, nbits)`` pairs; comparison is
   bitstring-lexicographic; concatenated keys materialise as
   zero-padded bytes plus an explicit bit count.
@@ -38,13 +40,18 @@ def increment(b: bytes) -> Optional[bytes]:
     return b[:-1] + bytes([b[-1] + 1])
 
 
+def lcp_len(a: bytes, b: bytes) -> int:
+    """Length of the longest common prefix of two byte strings."""
+    n = min(len(a), len(b))
+    i = 0
+    while i < n and a[i] == b[i]:
+        i += 1
+    return i
+
+
 def lcp(a: bytes, b: bytes) -> bytes:
     """Longest common prefix of two byte strings."""
-    n = min(len(a), len(b))
-    for i in range(n):
-        if a[i] != b[i]:
-            return a[:i]
-    return a[:n]
+    return a[: lcp_len(a, b)]
 
 
 def pred_inf(hi: bytes) -> Tuple[bytes, bool]:

@@ -25,6 +25,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence
 
+from ..core.strutil import lcp_len
+
 
 class _SNode:
     __slots__ = ("children", "leaf_suffix", "is_prefix_key")
@@ -33,14 +35,6 @@ class _SNode:
         self.children: Dict[int, "_SNode"] = {}
         self.leaf_suffix: Optional[int] = None  # stored suffix bits (or -1 = none)
         self.is_prefix_key = False
-
-
-def _lcp_len(a: bytes, b: bytes) -> int:
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
 
 
 class SuRF:
@@ -62,9 +56,9 @@ class SuRF:
         for i, k in enumerate(keys):
             l = 0
             if i > 0:
-                l = max(l, _lcp_len(keys[i - 1], k))
+                l = max(l, lcp_len(keys[i - 1], k))
             if i + 1 < len(keys):
-                l = max(l, _lcp_len(k, keys[i + 1]))
+                l = max(l, lcp_len(k, keys[i + 1]))
             tlen = min(l + 1, len(k))
             trunc = k[:tlen]
             suffix = self._suffix_of(k, tlen)

@@ -1,16 +1,26 @@
 """Tests for the Dictionary structures (core/dictionary.py).
 
 The key invariant: every structure answers the same predecessor query
-as the sorted-array binary-search baseline, for every scheme's
-boundary set — the paper's structures are performance variants of one
-abstract dictionary.
+("greatest boundary <= suffix") for every scheme's boundary set — the
+paper's structures are performance variants of one abstract dictionary.
+The trie layouts are memory models, checked against an explicit trie
+and against values pinned from the pointer trie they replaced.
 """
 import random
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.code_assign import assign_fixed
-from repro.core.dictionary import ArrayDict, SortedBoundaryDict, TrieDict
+from repro.core.dictionary import (
+    ArrayDict,
+    SortedBoundaryDict,
+    _art_node_bytes,
+    art_trie_bytes,
+    bitmap_trie_bytes,
+)
 from repro.core.intervals import build_intervals, with_codes
 from repro.core.symbol_select import (
     select_alm,
@@ -34,6 +44,62 @@ def _random_keys(n, seed=0, maxlen=20):
         out.append(bytes(rng.randrange(256) for _ in range(rng.randrange(1, maxlen))))
     out += [b"com.gmail@alice", b"com.x", b"ing", b"\x00", b"\xff\xff\xff\xff"]
     return out
+
+
+def _predecessor(ivs, k, pos):
+    """Reference lookup: binary search on the whole suffix ``k[pos:]``."""
+    i = bisect_right([iv.lo for iv in ivs], k[pos:]) - 1
+    iv = ivs[i]
+    return (iv.code, iv.nbits, len(iv.symbol))
+
+
+def _trie_model_bytes(boundaries):
+    """Reference memory models: build the byte trie and walk every node.
+
+    Returns (bitmap bytes, ART bytes) without the per-entry values, as
+    the pointer trie charged them: 36 B per node for the bitmap-trie; for
+    ART, the root and every terminal or non-unary node as an adaptive
+    node, every other node as one stored prefix byte.
+    """
+    root = {}
+    for b in boundaries:
+        node = root
+        for c in b:
+            node = node.setdefault(c, {})
+        node[None] = {}  # terminal marker
+    nodes = 0
+    art = 0
+    stack = [(root, True)]
+    while stack:
+        node, is_root = stack.pop()
+        nodes += 1
+        term = None in node
+        children = [c for k, c in node.items() if k is not None]
+        if is_root or term or len(children) != 1:
+            art += _art_node_bytes(max(1, len(children) + term))
+        else:
+            art += 1
+        stack.extend((c, False) for c in children)
+    return nodes * 36, art
+
+
+VARIABLE_IVS = {
+    "3grams": _made(select_grams(SAMPLES, 3, 4096)),
+    "4grams": _made(select_grams(SAMPLES, 4, 4096)),
+    "alm": _made(select_alm(SAMPLES, 1024, improved=False)),
+    "alm-improved": _made(select_alm(SAMPLES, 1024, improved=True)),
+}
+
+# memory_bytes() of the pointer-trie implementation (``TrieDict``) that the
+# analytic models replaced, on this file's fixtures: fixture -> (bitmap, art).
+TRIE_GOLDEN_MEMORY = {
+    "single": (10532, 16656),
+    "3grams": (14821, 23013),
+    "4grams": (15619, 22382),
+    "alm": (22938, 25661),
+    "alm-improved": (22938, 25661),
+    "3grams-x10-64K": (14821, 23013),
+}
 
 
 class TestArrayDict:
@@ -78,6 +144,9 @@ class TestArrayDict:
 
 
 class TestTrieDict:
+    """Variable-interval dictionaries: the bounded-window ``bisect`` lookup
+    that replaced the trie walk, and the bitmap-trie / ART memory models."""
+
     @pytest.mark.parametrize(
         "name,boundaries",
         [
@@ -90,33 +159,78 @@ class TestTrieDict:
     @pytest.mark.parametrize("model", ["bitmap", "art"])
     def test_matches_baseline(self, name, boundaries, model):
         ivs = _made(boundaries)
-        d = TrieDict(ivs, model=model)
-        base = SortedBoundaryDict(ivs)
+        d = SortedBoundaryDict(ivs, model=model)
         for k in _random_keys(400, seed=hash(name) % 1000):
             for pos in range(min(3, len(k))):
-                assert d.lookup(k, pos) == base.lookup(k, pos), (k, pos)
+                assert d.lookup(k, pos) == _predecessor(ivs, k, pos), (k, pos)
+
+    @pytest.mark.parametrize("name", sorted(VARIABLE_IVS))
+    @given(
+        data=st.data(),
+        key=st.one_of(
+            st.binary(max_size=40),
+            st.lists(st.sampled_from(b"\x00\x01@.acmo\xff"), max_size=24).map(bytes),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lookup_is_greatest_boundary_at_or_below(self, name, data, key):
+        """Brute force over all boundaries, including keys that are a
+        boundary, a prefix of one, NUL-rich, and lookups at ``pos > 0``."""
+        ivs = VARIABLE_IVS[name]
+        if data.draw(st.booleans()):  # a boundary, or a prefix or extension of one
+            lo = data.draw(st.sampled_from(ivs)).lo
+            key = lo[: data.draw(st.integers(0, len(lo)))] + key[: data.draw(st.integers(0, 3))]
+        key = data.draw(st.binary(max_size=3)) + key
+        if not key:
+            return
+        pos = data.draw(st.integers(0, len(key) - 1))
+        best = max(i for i, iv in enumerate(ivs) if iv.lo <= key[pos:])
+        expect = (ivs[best].code, ivs[best].nbits, len(ivs[best].symbol))
+        assert SortedBoundaryDict(ivs).lookup(key, pos) == expect
 
     def test_duplicate_boundary_raises(self):
         ivs = _made(select_single_char(SAMPLES))
         with pytest.raises(ValueError):
-            TrieDict(list(ivs) + [ivs[-1]])
+            SortedBoundaryDict(list(ivs) + [ivs[-1]])
 
     def test_bitmap_memory_is_36b_per_node(self):
         ivs = _made(select_single_char(SAMPLES))
-        d = TrieDict(ivs, model="bitmap")
+        d = SortedBoundaryDict(ivs, model="bitmap")
         # 256 single-byte boundaries -> root + 256 children = 257 nodes
         assert d.memory_bytes() == 257 * 36 + 256 * 5
 
     def test_art_memory_smaller_than_bitmap_for_sparse(self):
         ivs = _made(select_alm(SAMPLES, 1024, improved=True))
-        bitmap = TrieDict(ivs, model="bitmap").memory_bytes()
-        art = TrieDict(ivs, model="art").memory_bytes()
+        bitmap = SortedBoundaryDict(ivs, model="bitmap").memory_bytes()
+        art = SortedBoundaryDict(ivs, model="art").memory_bytes()
         assert art > 0 and bitmap > 0
 
     def test_invalid_model(self):
         ivs = _made(select_single_char(SAMPLES))
         with pytest.raises(ValueError):
-            TrieDict(ivs, model="wat")
+            SortedBoundaryDict(ivs, model="wat")
+
+    @pytest.mark.parametrize("fixture", sorted(TRIE_GOLDEN_MEMORY))
+    def test_memory_models_match_trie_golden(self, fixture):
+        if fixture == "single":
+            ivs = _made(select_single_char(SAMPLES))
+        elif fixture == "3grams-x10-64K":
+            ivs = _made(select_grams(SAMPLES * 10, 3, 65536))
+        else:
+            ivs = VARIABLE_IVS[fixture]
+        got = tuple(SortedBoundaryDict(ivs, model=m).memory_bytes() for m in ("bitmap", "art"))
+        assert got == TRIE_GOLDEN_MEMORY[fixture]
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(b"\x00\x01ab\xff"), max_size=6).map(bytes),
+            min_size=1,
+            unique=True,
+        ).map(sorted)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_memory_models_match_explicit_trie(self, boundaries):
+        assert (bitmap_trie_bytes(boundaries), art_trie_bytes(boundaries)) == _trie_model_bytes(boundaries)
 
 
 class TestSortedBaseline:
@@ -135,6 +249,6 @@ class TestSortedBaseline:
         array at the same entry count; we check the same order of
         magnitude (structure-dependent)."""
         ivs3 = _made(select_grams(SAMPLES * 10, 3, 65536))
-        trie = TrieDict(ivs3, model="bitmap")
+        trie = SortedBoundaryDict(ivs3, model="bitmap")
         per_entry_trie = trie.memory_bytes() / len(trie)
         assert per_entry_trie < 5 * 36  # sane: far below one node per entry

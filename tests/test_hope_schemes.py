@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.core.dictionary import ArrayDict, TrieDict
+from repro.core.dictionary import art_trie_bytes, bitmap_trie_bytes
 from repro.core.hope import SCHEME_TABLE, SCHEMES, build_hope
 from repro.core.strutil import encoded_sort_key
 from repro.workloads.datasets import dataset_keys
@@ -32,18 +32,22 @@ class TestTable1Wiring:
     def test_all_schemes_registered(self):
         assert set(SCHEMES) == set(SCHEME_TABLE)
 
-    @pytest.mark.parametrize("scheme,dict_cls", [
-        ("single", ArrayDict), ("double", ArrayDict),
-        ("3grams", TrieDict), ("4grams", TrieDict),
-        ("alm", TrieDict), ("alm-improved", TrieDict),
+    @pytest.mark.parametrize("scheme,model", [
+        ("single", "array"), ("double", "array"),
+        ("3grams", "bitmap"), ("4grams", "bitmap"),
+        ("alm", "art"), ("alm-improved", "art"),
     ])
-    def test_dictionary_structure(self, scheme, dict_cls, built):
+    def test_dictionary_structure(self, scheme, model, built):
+        """Table 1's dictionary column, as the memory model each scheme charges."""
         hope, _ = built[(scheme, "email")]
-        assert isinstance(hope.dictionary, dict_cls)
+        assert SCHEME_TABLE[scheme][3] == model
+        assert hope.dictionary.model == model
 
     def test_bitmap_vs_art_models(self, built):
-        assert built[("3grams", "email")][0].dictionary.model == "bitmap"
-        assert built[("alm-improved", "email")][0].dictionary.model == "art"
+        for scheme, trie_bytes in (("3grams", bitmap_trie_bytes), ("alm-improved", art_trie_bytes)):
+            hope, _ = built[(scheme, "email")]
+            boundaries = [iv.lo for iv in hope.intervals]
+            assert hope.dict_memory_bytes() == trie_bytes(boundaries) + 5 * hope.dict_entries
 
     def test_alm_uses_fixed_length_codes(self, built):
         hope, _ = built[("alm", "email")]
@@ -126,10 +130,3 @@ class TestBuildMetadata:
         small = build_hope("3grams", keys[:400], max_dict_entries=1024)
         large = build_hope("3grams", keys[:400], max_dict_entries=8192)
         assert large.compression_rate(keys[400:]) >= small.compression_rate(keys[400:]) - 0.05
-
-    def test_dictionary_kind_override(self):
-        keys = dataset_keys("email", 200, seed=4)
-        hope = build_hope("3grams", keys, max_dict_entries=1024, dictionary_kind="sorted")
-        from repro.core.dictionary import SortedBoundaryDict
-
-        assert isinstance(hope.dictionary, SortedBoundaryDict)
