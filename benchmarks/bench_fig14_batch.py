@@ -33,4 +33,5 @@ def test_fig14_batch_encode(benchmark, built, sorted_keys, scheme, batch):
                 enc.encode_batch(sorted_keys[i : i + batch])
 
     benchmark(run)
-    benchmark.extra_info["ns_per_char"] = round(benchmark.stats["mean"] / nchars * 1e9, 1)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["ns_per_char"] = round(benchmark.stats["mean"] / nchars * 1e9, 1)

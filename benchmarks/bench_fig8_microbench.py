@@ -31,4 +31,5 @@ def test_fig8_encode_latency(benchmark, built, email_bench_keys, scheme):
     benchmark.extra_info["cpr"] = round(hope.compression_rate(keys), 3)
     benchmark.extra_info["dict_entries"] = hope.dict_entries
     benchmark.extra_info["dict_memory_bytes"] = hope.dict_memory_bytes()
-    benchmark.extra_info["ns_per_char"] = round(benchmark.stats["mean"] / nchars * 1e9, 1)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["ns_per_char"] = round(benchmark.stats["mean"] / nchars * 1e9, 1)

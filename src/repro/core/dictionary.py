@@ -6,7 +6,9 @@ the interval's code and symbol length. Two runtime structures:
 
 * ``ArrayDict``          — Single-Char (256 entries) and Double-Char
                            (256*257 entries, terminator layout): one
-                           O(1) array probe;
+                           O(1) array probe per symbol. Every symbol has
+                           a fixed width, so ``code_string`` also encodes
+                           a whole key as one C-level table gather;
 * ``SortedBoundaryDict`` — every variable-interval scheme (3/4-Grams,
                            ALM, ALM-Improved): one C ``bisect`` over
                            the sorted boundary list, on a window of the
@@ -23,8 +25,9 @@ numbers, which are layout arithmetic (DESIGN.md §3/§5).
 """
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .intervals import Interval
 from .strutil import lcp_len
@@ -94,6 +97,12 @@ class ArrayDict(BaseDict):
     entry ``b1*257`` is the 1-byte symbol ``b1`` (interval
     ``[b1, b1\\x00)``, i.e. the exact string ``b1``), entries
     ``b1*257 + 1 + b2`` are the 2-byte symbols.
+
+    A key is consumed ``width`` bytes at a time, with a 1-byte tail when
+    a width-2 key has odd length, so ``code_string`` encodes it as a
+    gather from tables of '0'/'1' code strings. Those tables are derived
+    from ``codes``/``nbits``: they are rebuilt on unpickling, not
+    pickled. ``lookup`` remains the per-symbol form of the same mapping.
     """
 
     model = "array"
@@ -109,6 +118,31 @@ class ArrayDict(BaseDict):
         self.codes: List[int] = [iv.code for iv in intervals]
         self.nbits: List[int] = [iv.nbits for iv in intervals]
         self.symlen: List[int] = [len(iv.symbol) for iv in intervals]
+        self._build_gather_tables()
+
+    def _build_gather_tables(self) -> None:
+        # Each code as its nbits-long '0'/'1' string ("" when nbits is 0).
+        bits = [bin(c | 1 << n)[3:] for c, n in zip(self.codes, self.nbits)]
+        self._tails: Optional[List[str]] = None
+        if self.width == 1:
+            self._heads = bits
+            return
+        # Slot u holds the pair (b1, b2) whose two bytes, read as one
+        # native-endian uint16, equal u (the cast ``code_string`` makes).
+        rows = [bits[b1 * 257 + 1 : b1 * 257 + 257] for b1 in range(256)]  # rows[b1][b2]
+        if sys.byteorder == "little":  # u = b1 | b2 << 8
+            rows = zip(*rows)
+        self._heads = [s for row in rows for s in row]
+        self._tails = bits[::257]
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_heads"], state["_tails"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._build_gather_tables()
 
     def lookup(self, src: bytes, pos: int) -> Lookup:
         if self.width == 1:
@@ -117,6 +151,14 @@ class ArrayDict(BaseDict):
             b1 = src[pos]
             i = b1 * 257 + 1 + src[pos + 1] if pos + 1 < len(src) else b1 * 257
         return (self.codes[i], self.nbits[i], self.symlen[i])
+
+    def code_string(self, src: bytes) -> str:
+        """The codes of all of ``src``'s symbols, concatenated as a '0'/'1' string."""
+        if self.width == 1:
+            return "".join(map(self._heads.__getitem__, src))
+        n = len(src)
+        s = "".join(map(self._heads.__getitem__, memoryview(src)[: n & ~1].cast("H")))
+        return s + self._tails[src[-1]] if n & 1 else s
 
     def memory_bytes(self) -> int:
         return len(self.codes) * _VALUE_BYTES

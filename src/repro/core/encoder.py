@@ -1,11 +1,19 @@
-"""Encoder module (HOPE §4.2): dictionary-lookup loop + bit concatenation.
+"""Encoder module (HOPE §4.2): table gather or dictionary-lookup loop + bit concatenation.
 
-``Encoder.encode`` repeatedly looks the remaining key suffix up in the
-dictionary, consumes ``symbol_len`` bytes and appends the code bits,
-until the suffix is empty. Codes are accumulated in a single arbitrary-
-precision integer (Python's native big-int plays the role of the
-paper's chain of 64-bit shift/OR buffers — same semantics, fewer moving
-parts) and materialised as zero-padded bytes plus an explicit bit count.
+For variable-interval schemes ``Encoder.encode`` repeatedly looks the
+remaining key suffix up in the dictionary, consumes ``symbol_len`` bytes
+and appends the code bits, until the suffix is empty. Codes are
+accumulated in a single arbitrary-precision integer (Python's native
+big-int plays the role of the paper's chain of 64-bit shift/OR buffers —
+same semantics, fewer moving parts) and materialised as zero-padded
+bytes plus an explicit bit count.
+
+Fixed-interval schemes (Single-/Double-Char, ``ArrayDict``) have
+fixed-width symbols, so a key's code bits are one table gather
+(``ArrayDict.code_string``), parsed once by ``int(bits, 2)``. The
+per-symbol loop stays the path for variable intervals and batching, and
+for counting: while ``lookup`` is replaced on the dictionary instance
+(as a counter does), the encoder calls it once per symbol.
 
 Bitstring order of two encoded keys equals the lexicographic order of
 ``(padded_bytes, nbits)`` (proof in ``strutil``), so search trees can
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .dictionary import BaseDict
+from .dictionary import ArrayDict, BaseDict
 from .strutil import bits_to_bytes, lcp
 
 EncodedKey = Tuple[bytes, int]  # (zero-padded payload, number of meaningful bits)
@@ -33,11 +41,16 @@ class Encoder:
 
     def __init__(self, dictionary: BaseDict):
         self.dictionary = dictionary
+        self._gather = isinstance(dictionary, ArrayDict)
 
     # -- single-key ------------------------------------------------------
     def encode_bits(self, key: bytes) -> Tuple[int, int]:
         """Encode to (bit accumulator, total bits)."""
-        lookup = self.dictionary.lookup
+        d = self.dictionary
+        if self._gather and "lookup" not in vars(d):
+            s = d.code_string(key)
+            return int(s or "0", 2), len(s)
+        lookup = d.lookup
         acc = 0
         nbits = 0
         pos = 0
@@ -50,6 +63,11 @@ class Encoder:
         return acc, nbits
 
     def encode(self, key: bytes) -> EncodedKey:
+        d = self.dictionary
+        if self._gather and "lookup" not in vars(d):
+            s = d.code_string(key)
+            nbits = len(s)
+            return int(s + "0" * (-nbits % 8) or "0", 2).to_bytes((nbits + 7) // 8, "big"), nbits
         acc, nbits = self.encode_bits(key)
         return bits_to_bytes(acc, nbits), nbits
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Any, List, Optional, Sequence, Tuple
 
+from ..core.strutil import lcp, lcp_len
+
 NODE_BYTES = 256
 FANOUT = 16
 
@@ -109,9 +111,8 @@ class BPlusTree:
         out: List[Tuple[bytes, Any]] = []
         i = bisect_left(leaf.keys, start)
         while leaf is not None and len(out) < count:
-            while i < len(leaf.keys) and len(out) < count:
-                out.append((leaf.keys[i], leaf.vals[i]))
-                i += 1
+            j = i + count - len(out)
+            out += zip(leaf.keys[i:j], leaf.vals[i:j])
             leaf = leaf.next
             i = 0
         return out
@@ -200,20 +201,12 @@ class PrefixBPlusTree(BPlusTree):
     def _lcp_of(keys: Sequence[bytes]) -> bytes:
         if not keys:
             return b""
-        lo, hi = keys[0], keys[-1]
-        n = min(len(lo), len(hi))
-        i = 0
-        while i < n and lo[i] == hi[i]:
-            i += 1
-        return lo[:i]
+        return lcp(keys[0], keys[-1])
 
     @staticmethod
     def shortest_separator(left_max: bytes, right_min: bytes) -> bytes:
         """Shortest prefix of ``right_min`` strictly greater than ``left_max``."""
-        i = 0
-        n = min(len(left_max), len(right_min))
-        while i < n and left_max[i] == right_min[i]:
-            i += 1
+        i = lcp_len(left_max, right_min)
         return right_min[: i + 1] if i < len(right_min) else right_min
 
     def lookup(self, key: bytes) -> Optional[Any]:
@@ -235,7 +228,6 @@ class PrefixBPlusTree(BPlusTree):
                 prefix = self._lcp_of(n.keys)
                 key_bytes += len(prefix) + sum(len(k) - len(prefix) for k in n.keys)
             else:
-                prev_child_max = None
                 for j, sep in enumerate(n.keys):
                     left_max = self._max_key(n.children[j])
                     key_bytes += len(self.shortest_separator(left_max, sep))

@@ -1,5 +1,6 @@
 """Tests for the B+tree / Prefix B+tree substrates (trees/bplustree.py)."""
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -47,12 +48,21 @@ class TestLookup:
 class TestScan:
     def test_matches_reference(self, loaded):
         t, keys = loaded
+        # The same keys loaded half in bulk, half by inserts that split leaves.
+        grown = type(t)()
+        grown.build(keys[::2], list(range(0, len(keys), 2)))
+        for i in range(1, len(keys), 2):
+            grown.insert(keys[i], i)
         rng = random.Random(7)
-        for _ in range(100):
-            start = bytes(rng.randrange(97, 123) for _ in range(4))
-            got = [k for k, _ in t.scan(start, 25)]
-            exp = [k for k in keys if k >= start][:25]
-            assert got == exp
+        starts = [bytes(rng.randrange(97, 123) for _ in range(4)) for _ in range(100)]
+        starts += [k + b"\x00" for k in keys[::97]]  # strictly between two keys
+        starts += keys[::89] + [b"", keys[-1]]
+        for tree in (t, grown):
+            for count in (0, 1, 14, 15, 25, 100, len(keys) + 1):
+                for start in starts:
+                    i = bisect_left(keys, start)
+                    exp = list(zip(keys[i : i + count], range(i, i + count)))
+                    assert tree.scan(start, count) == exp
 
     def test_scan_from_start(self, loaded):
         t, keys = loaded

@@ -1,13 +1,18 @@
 """Tests for the Encoder (core/encoder.py): bit assembly + batching."""
+import functools
+import pickle
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.code_assign import assign_fixed
-from repro.core.dictionary import SortedBoundaryDict
+from repro.core.dictionary import ArrayDict, SortedBoundaryDict
 from repro.core.encoder import Encoder
 from repro.core.hope import build_hope
 from repro.core.intervals import build_intervals, with_codes
+from repro.core.strutil import bits_to_bytes
 from repro.core.symbol_select import select_single_char
 
 SAMPLES = [b"com.gmail@alice", b"com.gmail@bob", b"org.wiki@dave"] * 30
@@ -99,3 +104,79 @@ class TestRandomizedRoundtrip:
             {bytes(rng.randrange(32, 127) for _ in range(rng.randrange(1, 24))) for _ in range(80)}
         )
         assert hope.encoder.encode_batch(keys) == [hope.encode(k) for k in keys]
+
+
+_NUL_RICH = [bytes(random.Random(i).choices(b"\x00\x00\x00\x01\xfe\xff", k=i % 17)) for i in range(90)]
+
+
+@functools.cache
+def _array_hope(scheme, training):
+    return build_hope(scheme, SAMPLES if training == "text" else _NUL_RICH)
+
+
+def _reference_bits(d, key):
+    """The per-symbol loop over ``ArrayDict.lookup``."""
+    acc = nbits = pos = 0
+    while pos < len(key):
+        code, cbits, symlen = ArrayDict.lookup(d, key, pos)
+        acc = (acc << cbits) | code
+        nbits += cbits
+        pos += symlen
+    return acc, nbits
+
+
+_KEYS = st.one_of(
+    st.binary(max_size=80),
+    st.lists(st.sampled_from(b"\x00\x01\xfe\xffa"), max_size=41).map(bytes),
+)
+_EDGE_KEYS = [b"", b"\x00", b"\xff", b"\x00\xff\x00", bytes(range(255)), bytes(range(256))]
+
+
+class TestFixedWidthGather:
+    """Single/Double-Char encode as one table gather; it must equal the loop."""
+
+    @pytest.mark.parametrize("training", ["text", "nul"])
+    @pytest.mark.parametrize("scheme", ["single", "double"])
+    @settings(max_examples=150, deadline=None)
+    @given(key=_KEYS)
+    @example(key=b"")
+    @example(key=b"\x00")
+    @example(key=bytes(range(255)))
+    @example(key=bytes(range(256)))
+    def test_gather_equals_lookup_loop(self, scheme, training, key):
+        hope = _array_hope(scheme, training)
+        acc, nbits = _reference_bits(hope.dictionary, key)
+        assert hope.encoder.encode_bits(key) == (acc, nbits)
+        assert hope.encoder.encode(key) == (bits_to_bytes(acc, nbits), nbits)
+
+    @pytest.mark.parametrize("scheme", ["single", "double"])
+    def test_pickle_roundtrip(self, scheme):
+        hope = _array_hope(scheme, "text")
+        enc = pickle.loads(pickle.dumps(hope.encoder))
+        keys = _EDGE_KEYS + [s + b"!" for s in SAMPLES[:4]] + _NUL_RICH
+        assert [enc.encode(k) for k in keys] == [hope.encode(k) for k in keys]
+        assert [enc.encode_bits(k) for k in keys] == [hope.encoder.encode_bits(k) for k in keys]
+        assert b"_heads" not in pickle.dumps(hope.dictionary)  # tables are derived, not pickled
+
+    @pytest.mark.parametrize("scheme,width", [("single", 1), ("double", 2)])
+    def test_instance_lookup_is_called_per_symbol(self, scheme, width):
+        hope = _array_hope(scheme, "nul")
+        d = hope.dictionary
+        keys = _EDGE_KEYS + _NUL_RICH + SAMPLES[:4]
+        gathered = [hope.encode(k) for k in keys]
+        calls = 0
+
+        def counting(src, pos):
+            nonlocal calls
+            calls += 1
+            return ArrayDict.lookup(d, src, pos)
+
+        d.lookup = counting
+        try:
+            for k, want in zip(keys, gathered):
+                before = calls
+                assert hope.encode(k) == want
+                assert hope.encoder.encode_bits(k)[1] == want[1]
+                assert calls - before == 2 * -(-len(k) // width)
+        finally:
+            del d.lookup
