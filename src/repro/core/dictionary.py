@@ -30,7 +30,7 @@ from bisect import bisect_right
 from typing import List, Optional, Sequence, Tuple
 
 from .intervals import Interval
-from .strutil import lcp_len
+from .strutil import distinct_prefixes, lcp_len
 
 Lookup = Tuple[int, int, int]  # (code, nbits, symbol_len)
 
@@ -169,23 +169,20 @@ class ArrayDict(BaseDict):
 
 # -- trie layout models ---------------------------------------------------
 # The byte trie over sorted distinct boundaries has one node per distinct
-# prefix (the root is the empty prefix). Boundary b_i adds the nodes at
-# depths lcp(b_{i-1}, b_i) + 1 .. len(b_i), so both models need only the
+# prefix (the root is the empty prefix, the rest are counted by
+# ``distinct_prefixes``). Boundary b_i adds the nodes at depths
+# lcp(b_{i-1}, b_i) + 1 .. len(b_i), so both models need only the
 # adjacent common-prefix lengths.
 
 
 def bitmap_trie_bytes(boundaries: Sequence[bytes]) -> int:
     """Bytes of the Figure 6 bitmap-trie: one 36 B node per distinct prefix."""
-    nodes = 1
-    prev = b""
-    for b in boundaries:
-        nodes += len(b) - lcp_len(prev, b)
-        prev = b
-    return nodes * _BITMAP_NODE_BYTES
+    return (1 + distinct_prefixes(boundaries)) * _BITMAP_NODE_BYTES
 
 
-def _art_node_bytes(fanout: int) -> int:
-    header = 16
+def art_node_bytes(fanout: int) -> int:
+    """Smallest adaptive ART node (Node4/16/48/256) holding ``fanout`` children."""
+    header = 16  # type + child count + prefix len + 8 B prefix buffer
     if fanout <= 4:
         return header + 4 * 1 + 4 * 8
     if fanout <= 16:
@@ -205,7 +202,6 @@ def art_trie_bytes(boundaries: Sequence[bytes]) -> int:
     prefix below it (no optimistic skipping) at 1 byte each.
     """
     total = 0
-    nodes = 1
     survivors = 1  # the root
     # The surviving nodes on the last boundary's path, shallowest first,
     # as [depth, children, is_terminal]. Depths between two entries are
@@ -214,10 +210,9 @@ def art_trie_bytes(boundaries: Sequence[bytes]) -> int:
     prev = b""
     for b in boundaries:
         d = lcp_len(prev, b)
-        nodes += len(b) - d
         while path[-1][0] > d:
             _, children, term = path.pop()
-            total += _art_node_bytes(max(1, children + term))
+            total += art_node_bytes(max(1, children + term))
         if path[-1][0] < d:  # a chain node on prev's path gains a second child
             path.append([d, 1, False])
             survivors += 1
@@ -229,5 +224,6 @@ def art_trie_bytes(boundaries: Sequence[bytes]) -> int:
             path[-1][2] = True
         prev = b
     for _, children, term in path:
-        total += _art_node_bytes(max(1, children + term))
-    return total + (nodes - survivors)
+        total += art_node_bytes(max(1, children + term))
+    chain_nodes = 1 + distinct_prefixes(boundaries) - survivors
+    return total + chain_nodes

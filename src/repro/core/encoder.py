@@ -43,6 +43,19 @@ class Encoder:
         self.dictionary = dictionary
         self._gather = isinstance(dictionary, ArrayDict)
 
+    def _walk(self, key: bytes, pos: int, stop: int, acc: int, nbits: int) -> Tuple[int, int, int]:
+        """Look up and append symbols of ``key`` from ``pos`` while ``pos < stop``.
+
+        Returns the grown ``(acc, nbits)`` and the position reached.
+        """
+        lookup = self.dictionary.lookup
+        while pos < stop:
+            code, cbits, symlen = lookup(key, pos)
+            acc = (acc << cbits) | code
+            nbits += cbits
+            pos += symlen
+        return acc, nbits, pos
+
     # -- single-key ------------------------------------------------------
     def encode_bits(self, key: bytes) -> Tuple[int, int]:
         """Encode to (bit accumulator, total bits)."""
@@ -50,16 +63,7 @@ class Encoder:
         if self._gather and "lookup" not in vars(d):
             s = d.code_string(key)
             return int(s or "0", 2), len(s)
-        lookup = d.lookup
-        acc = 0
-        nbits = 0
-        pos = 0
-        n = len(key)
-        while pos < n:
-            code, cbits, symlen = lookup(key, pos)
-            acc = (acc << cbits) | code
-            nbits += cbits
-            pos += symlen
+        acc, nbits, _ = self._walk(key, 0, len(key), 0, 0)
         return acc, nbits
 
     def encode(self, key: bytes) -> EncodedKey:
@@ -68,7 +72,7 @@ class Encoder:
             s = d.code_string(key)
             nbits = len(s)
             return int(s + "0" * (-nbits % 8) or "0", 2).to_bytes((nbits + 7) // 8, "big"), nbits
-        acc, nbits = self.encode_bits(key)
+        acc, nbits, _ = self._walk(key, 0, len(key), 0, 0)
         return bits_to_bytes(acc, nbits), nbits
 
     # -- batched (sorted) ------------------------------------------------
@@ -84,20 +88,8 @@ class Encoder:
         k-gram schemes but not ALM (unbounded boundaries → checkpoint
         consumes nothing), as observed in Appendix B.
         """
-        lookup = self.dictionary.lookup
-        maxlen = getattr(self.dictionary, "max_boundary_len", None)
-        acc = 0
-        nbits = 0
-        pos = 0
-        n = len(prefix)
-        if maxlen is None:
-            return acc, nbits, pos
-        while n - pos >= maxlen:
-            code, cbits, symlen = lookup(prefix, pos)
-            acc = (acc << cbits) | code
-            nbits += cbits
-            pos += symlen
-        return acc, nbits, pos
+        stop = len(prefix) - self.dictionary.max_boundary_len + 1
+        return self._walk(prefix, 0, stop, 0, 0)
 
     def encode_batch(self, keys: Sequence[bytes]) -> List[EncodedKey]:
         """Encode a sorted run of keys, sharing the common-prefix work."""
@@ -113,16 +105,9 @@ class Encoder:
         if not prefix:
             return [self.encode(k) for k in keys]
         acc0, nbits0, consumed = self._encode_prefix_checkpoint(prefix)
-        lookup = self.dictionary.lookup
         out: List[EncodedKey] = []
         for k in keys:
-            acc, nbits, pos = acc0, nbits0, consumed
-            n = len(k)
-            while pos < n:
-                code, cbits, symlen = lookup(k, pos)
-                acc = (acc << cbits) | code
-                nbits += cbits
-                pos += symlen
+            acc, nbits, _ = self._walk(k, consumed, len(k), acc0, nbits0)
             out.append((bits_to_bytes(acc, nbits), nbits))
         return out
 

@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from . import symbol_select as ss
-from .code_assign import assign_fixed, assign_hu_tucker
 from .dictionary import ArrayDict, BaseDict, SortedBoundaryDict
 from .encoder import EncodedKey, Encoder
-from .intervals import Interval, build_intervals, check_order_preserving, with_codes
+from .hu_tucker import assign_fixed, hu_tucker_codes
+from .intervals import Interval, build_intervals, with_codes
 
 SCHEMES = ("single", "double", "3grams", "4grams", "alm", "alm-improved")
 
@@ -138,12 +138,11 @@ def build_hope(
     samples: Sequence[bytes],
     max_dict_entries: int = 1 << 16,
     freqs=None,
-    validate: bool = False,
 ) -> HopeEncoder:
     """Run HOPE's Build phase and return a ready-to-encode instance.
 
     ``freqs`` optionally supplies pre-computed pattern frequencies (the
-    Spark path); ``validate`` runs the string-axis model checks.
+    Spark path).
     """
     if scheme not in SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -160,15 +159,12 @@ def build_hope(
     if code_kind == "fixed":
         codes = assign_fixed(len(intervals))
     else:
-        codes = assign_hu_tucker(probs)
+        codes = hu_tucker_codes(probs)
     t2 = time.perf_counter()
 
     intervals = with_codes(intervals, codes)
     dictionary = _build_dictionary(dict_model, intervals)
     t3 = time.perf_counter()
-
-    if validate:
-        check_order_preserving(intervals)
 
     return HopeEncoder(
         scheme=scheme,

@@ -13,9 +13,13 @@ Terminology: given weights ``w_0..w_{n-1}`` in axis order, find code
 lengths ``l_i`` minimising ``sum(w_i * l_i)`` such that a binary tree
 exists whose in-order leaves have exactly those depths — equivalently,
 such that monotonically increasing prefix codes of those lengths exist.
+
+ALM does not use these codes: ``assign_fixed`` gives it the other
+strategy, monotone fixed-length codes.
 """
 from __future__ import annotations
 
+import math
 from typing import List, Sequence, Tuple
 
 from .strutil import Code
@@ -113,6 +117,14 @@ def hu_tucker_codes(weights: Sequence[float]) -> List[Code]:
     floor = max(max(weights), 1.0) * 1e-9
     w = [max(float(x), floor) for x in weights]
     return canonical_alphabetic_codes(garsia_wachs_depths(w))
+
+
+def assign_fixed(n: int) -> List[Code]:
+    """Monotone fixed-length codes 0..n-1, each ceil(log2 n) bits."""
+    if n <= 0:
+        return []
+    nbits = max(1, math.ceil(math.log2(n))) if n > 1 else 1
+    return [(i, nbits) for i in range(n)]
 
 
 def optimal_alphabetic_cost(weights: Sequence[float]) -> float:

@@ -7,7 +7,9 @@ axis arithmetic every other module needs:
 * ``increment`` — the tight right boundary of the interval covered by a
   symbol (smallest string greater than every extension of the symbol);
 * ``lcp`` / ``lcp_len`` — the longest common prefix of two strings (and
-  its length, which the dictionary memory models and SuRF count in);
+  its length);
+* ``distinct_prefixes`` — the node count of the byte trie over sorted
+  strings, which the dictionary memory models and SuRF charge for;
 * ``interval_symbol`` — the max-length common prefix of an interval
   ``[lo, hi)``, which is the dictionary symbol of that interval;
 * bit-code utilities — codes are ``(value, nbits)`` pairs; comparison is
@@ -23,7 +25,7 @@ property-tested in ``tests/test_strutil.py``.
 """
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 Code = Tuple[int, int]  # (value, nbits) — value < 2**nbits
 
@@ -47,6 +49,21 @@ def lcp_len(a: bytes, b: bytes) -> int:
     while i < n and a[i] == b[i]:
         i += 1
     return i
+
+
+def distinct_prefixes(sorted_keys: Iterable[bytes]) -> int:
+    """Number of distinct non-empty prefixes of ``sorted_keys``.
+
+    That is the byte trie's node count without the root (its edge
+    count). In sorted order a key adds exactly the prefixes longer than
+    its common prefix with the key before it.
+    """
+    count = 0
+    prev = b""
+    for k in sorted_keys:
+        count += len(k) - lcp_len(prev, k)
+        prev = k
+    return count
 
 
 def lcp(a: bytes, b: bytes) -> bytes:

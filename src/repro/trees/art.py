@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
+from ..core.dictionary import art_node_bytes
+
 PESSIMISTIC_BYTES = 8
-HEADER_BYTES = 16  # type + child count + prefix len + 8B prefix buffer
 LEAF_BYTES = 8
 
 #: terminator label for keys that are prefixes of other keys (the
@@ -204,16 +205,6 @@ class ART:
         return out
 
     # -- accounting ------------------------------------------------------
-    @staticmethod
-    def _node_bytes(fanout: int) -> int:
-        if fanout <= 4:
-            return HEADER_BYTES + 4 * 1 + 4 * 8
-        if fanout <= 16:
-            return HEADER_BYTES + 16 * 1 + 16 * 8
-        if fanout <= 48:
-            return HEADER_BYTES + 256 + 48 * 8
-        return HEADER_BYTES + 256 * 8
-
     def memory_bytes(self) -> int:
         total = 0
         stack = [self.root] if self.root is not None else []
@@ -222,7 +213,7 @@ class ART:
             if isinstance(n, _ArtLeaf):
                 total += LEAF_BYTES
                 continue
-            total += self._node_bytes(len(n.children))
+            total += art_node_bytes(len(n.children))
             # pessimistic prefix bytes live in the 16B header (<=8);
             # longer prefixes are skipped, not stored (OCPS).
             stack.extend(n.children.values())

@@ -4,11 +4,14 @@ A static, batch-built trie filter. Each key is truncated to its
 shortest unique prefix; SuRF-Real additionally stores the first
 ``suffix_bits`` bits of the remaining key to cut false positives.
 
-The logical structure (truncated byte-trie) is explicit; the *memory
-model* is SuRF's LOUDS-Sparse encoding: 10 bits per trie edge (8-bit
-label + has-child + louds bit) plus ``suffix_bits`` per key — the
-"close to the theoretical optimum" accounting of §2. Python pointers
-are irrelevant to the reported numbers.
+The runtime structure is one sorted list of the truncated keys plus a
+parallel list of their suffix bits; ``bisect`` over it answers what a
+walk of the truncated byte-trie would. The *memory model* is SuRF's
+LOUDS-Sparse encoding: 10 bits per trie edge (8-bit label + has-child +
+louds bit) plus ``suffix_bits`` and one prefix-key bit per key — the
+"close to the theoretical optimum" accounting of §2. The trie is never
+built: its edges are the distinct non-empty prefixes of the truncated
+keys (``strutil.distinct_prefixes``).
 
 Supported operations, as in the paper's YCSB setup:
 
@@ -22,19 +25,10 @@ Supported operations, as in the paper's YCSB setup:
 """
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence
+from bisect import bisect_left, bisect_right
+from typing import List, Sequence
 
-from ..core.strutil import lcp_len
-
-
-class _SNode:
-    __slots__ = ("children", "leaf_suffix", "is_prefix_key")
-
-    def __init__(self) -> None:
-        self.children: Dict[int, "_SNode"] = {}
-        self.leaf_suffix: Optional[int] = None  # stored suffix bits (or -1 = none)
-        self.is_prefix_key = False
+from ..core.strutil import distinct_prefixes, lcp_len
 
 
 class SuRF:
@@ -42,39 +36,27 @@ class SuRF:
 
     def __init__(self, suffix_bits: int = 8):
         self.suffix_bits = suffix_bits
-        self.root = _SNode()
         self.n_keys = 0
         self._trunc: List[bytes] = []  # truncated keys, sorted
-        self._sufs: List[int] = []
-        self._heights: List[int] = []
+        self._sufs: List[int] = []  # their suffix bits
 
     # -- build -----------------------------------------------------------
     def build(self, keys: Sequence[bytes], values=None) -> None:
-        """Batch-build from sorted unique keys (SuRF is build-once)."""
+        """Batch-build from sorted unique keys (SuRF is build-once).
+
+        A key is cut one byte past its longest common prefix with either
+        neighbour (never past its end), so no other key has the cut
+        prefix unless the key is a prefix of it.
+        """
         keys = list(keys)
         self.n_keys = len(keys)
-        for i, k in enumerate(keys):
-            l = 0
-            if i > 0:
-                l = max(l, lcp_len(keys[i - 1], k))
-            if i + 1 < len(keys):
-                l = max(l, lcp_len(k, keys[i + 1]))
-            tlen = min(l + 1, len(k))
-            trunc = k[:tlen]
-            suffix = self._suffix_of(k, tlen)
-            node = self.root
-            for b in trunc:
-                nxt = node.children.get(b)
-                if nxt is None:
-                    nxt = _SNode()
-                    node.children[b] = nxt
-                node = nxt
-            if node.children:
-                node.is_prefix_key = True  # key ends at an internal node
-            node.leaf_suffix = suffix
-            self._trunc.append(trunc)
-            self._sufs.append(suffix)
-            self._heights.append(tlen)
+        lcps = [lcp_len(a, b) for a, b in zip(keys, keys[1:])]
+        before = [0] + lcps
+        after = lcps + [0]
+        for k, l1, l2 in zip(keys, before, after):
+            tlen = min(max(l1, l2) + 1, len(k))
+            self._trunc.append(k[:tlen])
+            self._sufs.append(self._suffix_of(k, tlen))
 
     def _suffix_of(self, key: bytes, tlen: int) -> int:
         """First ``suffix_bits`` bits of the key remainder (SuRF-Real)."""
@@ -94,63 +76,53 @@ class SuRF:
 
     # -- queries ---------------------------------------------------------
     def may_contain(self, key: bytes) -> bool:
-        node = self.root
-        depth = 0
+        """True iff a stored truncated key is a prefix of ``key`` with equal suffix bits.
+
+        The greatest stored ``t <= q`` is the longest stored prefix of
+        ``q`` if it is a prefix at all. If it is not, every stored prefix
+        of ``q`` is a prefix of ``q[:lcp(t, q)]``; if it is but its
+        suffix differs, the rest are prefixes of ``t[:-1]``.
+        """
+        trunc = self._trunc
+        q = key
         while True:
-            if node.leaf_suffix is not None:
-                if node.leaf_suffix == self._suffix_of(key, depth):
-                    return True  # stored key may be this query (or a FP)
-                if not node.children:
-                    return False  # pure leaf, nothing deeper to try
-            if depth >= len(key):
+            i = bisect_right(trunc, q) - 1
+            if i < 0:
                 return False
-            child = node.children.get(key[depth])
-            if child is None:
-                return False
-            node = child
-            depth += 1
+            t = trunc[i]
+            if key.startswith(t):
+                if self._sufs[i] == self._suffix_of(key, len(t)):
+                    return True
+                if not t:
+                    return False
+                q = t[:-1]
+            else:
+                q = q[: lcp_len(t, q)]
 
     def may_contain_range(self, lo: bytes, hi: bytes) -> bool:
         """True if some stored key may lie in ``[lo, hi]`` (approximate).
 
-        Implements moveToKeyGreaterThan(lo) over the truncated keys +
-        suffix bits (the sorted array is our LOUDS rank/select
-        surrogate), then compares the found entry against ``hi`` at
-        stored precision: comparisons that are ties at the stored
-        granularity conservatively return True (filter semantics).
+        moveToKeyGreaterThan(lo) over the truncated keys (the sorted
+        list is our LOUDS rank/select surrogate) finds the last entry
+        below ``lo`` if it is a prefix of ``lo``, else the first entry
+        ``>= lo``. Its stored key may lie in the range iff that entry is
+        ``<= hi``; ties at the stored precision conservatively return
+        True (filter semantics).
         """
-        if not self._trunc:
-            return False
-        # smallest stored entry whose (trunc, suffix) can be >= lo
-        i = bisect_left(self._trunc, lo)
-        # the entry before could still reach >= lo: it is a prefix of lo
-        # (truncation) — check it conservatively
-        if i > 0 and lo.startswith(self._trunc[i - 1]):
+        trunc = self._trunc
+        i = bisect_left(trunc, lo)
+        if i > 0 and lo.startswith(trunc[i - 1]):
             i -= 1
-        while i < len(self._trunc):
-            t = self._trunc[i]
-            if t > hi:
-                return False
-            if lo.startswith(t) or t >= lo:
-                # stored key extends t; can it be <= hi?
-                if t <= hi:
-                    return True
-            i += 1
-        return False
+        return i < len(trunc) and trunc[i] <= hi
 
     # -- metrics ---------------------------------------------------------
     def memory_bytes(self) -> int:
-        edges = 0
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            edges += len(n.children)
-            stack.extend(n.children.values())
+        edges = distinct_prefixes(self._trunc)
         bits = 10 * edges + self.suffix_bits * self.n_keys + self.n_keys  # +prefix-key bits
         return (bits + 7) // 8
 
     def avg_leaf_depth(self) -> float:
-        return sum(self._heights) / max(1, len(self._heights))
+        return sum(map(len, self._trunc)) / max(1, len(self._trunc))
 
     def false_positive_rate(self, negatives: Sequence[bytes]) -> float:
         if not negatives:

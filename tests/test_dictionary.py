@@ -13,14 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.code_assign import assign_fixed
 from repro.core.dictionary import (
     ArrayDict,
     SortedBoundaryDict,
-    _art_node_bytes,
+    art_node_bytes,
     art_trie_bytes,
     bitmap_trie_bytes,
 )
+from repro.core.hu_tucker import assign_fixed
 from repro.core.intervals import build_intervals, with_codes
 from repro.core.symbol_select import (
     select_alm,
@@ -76,7 +76,7 @@ def _trie_model_bytes(boundaries):
         term = None in node
         children = [c for k, c in node.items() if k is not None]
         if is_root or term or len(children) != 1:
-            art += _art_node_bytes(max(1, len(children) + term))
+            art += art_node_bytes(max(1, len(children) + term))
         else:
             art += 1
         stack.extend((c, False) for c in children)

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.code_assign import assign_fixed
 from repro.core.dictionary import ArrayDict, SortedBoundaryDict
 from repro.core.encoder import Encoder
 from repro.core.hope import build_hope
+from repro.core.hu_tucker import assign_fixed
 from repro.core.intervals import build_intervals, with_codes
 from repro.core.strutil import bits_to_bytes
 from repro.core.symbol_select import select_single_char

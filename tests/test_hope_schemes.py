@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.dictionary import art_trie_bytes, bitmap_trie_bytes
 from repro.core.hope import SCHEME_TABLE, SCHEMES, build_hope
+from repro.core.intervals import check_order_preserving
 from repro.core.strutil import encoded_sort_key
 from repro.workloads.datasets import dataset_keys
 
@@ -22,7 +23,9 @@ def built():
     for scheme in SCHEMES:
         for ds in ("email", "wiki", "url"):
             keys = dataset_keys(ds, 600, seed=11)
-            cache[(scheme, ds)] = (build_hope(scheme, keys[:300], max_dict_entries=DICT_SIZE, validate=True), keys)
+            hope = build_hope(scheme, keys[:300], max_dict_entries=DICT_SIZE)
+            check_order_preserving(hope.intervals)
+            cache[(scheme, ds)] = (hope, keys)
     return cache
 
 

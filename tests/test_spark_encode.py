@@ -7,7 +7,6 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.core.hope import build_hope
 from repro.core.spark_encode import check_order_preserved, encode_df, encoded_range_filter
 from repro.core.spark_select import sample_keys
@@ -96,47 +95,58 @@ class TestOracleEquivalence:
             t=email_df,
         )
 
+    def test_oracle_detects_mismatch(self, email_df):
+        wrong = email_df.agg((F.count("*") + 1).alias("n"))
+        with pytest.raises(AssertionError):
+            assert_equivalent(wrong, "SELECT count(*) AS n FROM t", t=email_df)
+
     def test_empty_range(self, encoded, hope_3grams):
         out = encoded_range_filter(encoded, hope_3grams, b"zzz", b"zzzz")
         assert out.count() == 0
 
 
-class TestTpchIntegration:
-    """HOPE applied to a TPC-H-lite string key column, joined back and
-    aggregated — the full Catalyst path with the oracle as referee."""
+@pytest.fixture(scope="module")
+def domains_df(spark):
+    """Email keys plus their domain: a low-cardinality string column."""
+    df = dataset_df(spark, "email", 1000, seed=31)
+    return df.withColumn("domain", F.substring_index("key", "@", 1)).cache()
 
-    def test_orderpriority_encoded_groupby(self, spark):
-        o = synth_data.orders(spark, sf=0.002, seed=1).cache()
-        sample = [r["o_orderpriority"].encode() for r in o.select("o_orderpriority").limit(200).collect()]
+
+class TestTpchIntegration:
+    """TPC-H-style use of HOPE: a low-cardinality string column (the email
+    domain, in the role of ``o_orderpriority``) is encoded, then grouped,
+    range-filtered and joined — the full Catalyst path with the oracle
+    as referee."""
+
+    def test_orderpriority_encoded_groupby(self, domains_df):
+        sample = [r["domain"].encode() for r in domains_df.select("domain").limit(200).collect()]
         hope = build_hope("single", sample)
-        enc = encode_df(o, "o_orderpriority", hope)
+        enc = encode_df(domains_df, "domain", hope)
         # group by the encoded key: counts must match grouping by source
         got = (
             enc.groupBy("enc_key")
-            .agg(F.count("*").alias("n"), F.first("o_orderpriority").alias("o_orderpriority"))
-            .select("o_orderpriority", "n")
+            .agg(F.count("*").alias("n"), F.first("domain").alias("domain"))
+            .select("domain", "n")
         )
         assert_equivalent(
             got,
-            "SELECT o_orderpriority, count(*) AS n FROM o GROUP BY o_orderpriority",
-            o=o,
+            "SELECT domain, count(*) AS n FROM t GROUP BY domain",
+            t=domains_df,
         )
 
-    def test_range_filter_then_join(self, spark):
-        o = synth_data.orders(spark, sf=0.002, seed=1).cache()
-        li = synth_data.lineitem(spark, sf=0.002, seed=0).cache()
-        sample = [r["o_orderpriority"].encode() for r in o.limit(100).collect()]
+    def test_range_filter_then_join(self, spark, domains_df):
+        other = dataset_df(spark, "email", 600, seed=32)
+        other = other.select(F.substring_index("key", "@", 1).alias("o_domain")).cache()
+        sample = [r["domain"].encode() for r in domains_df.limit(100).collect()]
         hope = build_hope("double", sample)
-        enc_o = encode_df(o, "o_orderpriority", hope)
-        hot = encoded_range_filter(enc_o, hope, b"1-URGENT", b"2-HIGHZ")
-        got = (
-            hot.join(li, hot.o_orderkey == li.l_orderkey)
-            .agg(F.count("*").alias("n"))
-        )
+        enc = encode_df(domains_df, "domain", hope)
+        # both bounds are domains that occur, and domains lie on each side
+        hot = encoded_range_filter(enc, hope, b"com.gmail", b"com.mail")
+        got = hot.join(other, hot.domain == other.o_domain).agg(F.count("*").alias("n"))
         assert_equivalent(
             got,
-            "SELECT count(*) AS n FROM o JOIN li ON o_orderkey = l_orderkey "
-            "WHERE o_orderpriority >= '1-URGENT' AND o_orderpriority < '2-HIGHZ'",
-            o=o,
-            li=li,
+            "SELECT count(*) AS n FROM t JOIN o ON domain = o_domain "
+            "WHERE domain >= 'com.gmail' AND domain < 'com.mail'",
+            t=domains_df,
+            o=other,
         )
