@@ -13,8 +13,10 @@ key space is range-partitioned, each Spark partition builds and drives
 its own in-memory tree (one tree per partition, per the banding hint),
 and per-partition metrics come back as a DataFrame.
 
-Encoded tree keys are the zero-padded code bytes; the harness asserts
-they are pairwise distinct (see DESIGN.md §3 on padding ties).
+Encoded tree keys are the zero-padded code bytes alone: HOPE's padded
+codes are injective and order-preserving (proof in ``core.strutil``),
+so unique source keys load as unique tree keys, which the harness
+asserts.
 """
 from __future__ import annotations
 
@@ -55,28 +57,6 @@ def make_tree(name: str, suffix_bits: int = 8):
     raise ValueError(f"unknown tree {name!r}; expected one of {TREES}")
 
 
-def _encode_keys(hope: HopeEncoder, keys: Sequence[bytes]):
-    """Encode keys to padded bytes; returns (kept_keys, encodings, n_dropped).
-
-    Padding ties (two bitstrings equal after zero-padding) are possible
-    but rare; affected source keys are dropped and counted so the
-    experiment never silently dedupes (DESIGN.md §3).
-    """
-    enc = hope.encoder.encode
-    seen = {}
-    kept, out = [], []
-    dropped = 0
-    for k in keys:
-        e = enc(k)[0]
-        if e in seen:
-            dropped += 1
-            continue
-        seen[e] = True
-        kept.append(k)
-        out.append(e)
-    return kept, out, dropped
-
-
 def run_tree_bench(
     tree_name: str,
     config: str,
@@ -108,16 +88,15 @@ def run_tree_bench(
         )
         t_build = time.perf_counter() - t0
 
-    n_dropped = 0
-    if hope is not None:
-        load_keys, tree_load, d1 = _encode_keys(hope, load_keys)
-        insert_keys, tree_ins, d2 = _encode_keys(hope, insert_keys)
-        n_dropped = d1 + d2
+    enc = hope.encoder.encode if hope else None
+    if enc:
+        tree_load = [enc(k)[0] for k in load_keys]
+        tree_ins = [enc(k)[0] for k in insert_keys]
     else:
         tree_load, tree_ins = list(load_keys), list(insert_keys)
 
-    order = sorted(range(len(tree_load)), key=lambda i: tree_load[i])
-    sorted_keys = [tree_load[i] for i in order]
+    sorted_keys = sorted(tree_load)
+    assert all(a < b for a, b in zip(sorted_keys, sorted_keys[1:])), "encoded keys collide"
 
     tree = make_tree(tree_name, suffix_bits=suffix_bits)
     t0 = time.perf_counter()
@@ -128,7 +107,6 @@ def run_tree_bench(
         "tree": tree_name,
         "config": config,
         "n_keys": len(sorted_keys),
-        "n_dropped_padding_ties": n_dropped,
         "build_hope_s": t_build,
         "load_s": t_load,
         "tree_memory_bytes": tree.memory_bytes(),
@@ -139,7 +117,6 @@ def run_tree_bench(
 
     # ---- point queries (YCSB C) ---------------------------------------
     point_qs = workload_c(load_keys, n_queries, seed)
-    enc = hope.encoder.encode if hope else None
     is_filter = tree_name == "surf"
     t0 = time.perf_counter()
     hits = 0

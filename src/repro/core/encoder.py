@@ -15,10 +15,10 @@ per-symbol loop stays the path for variable intervals and batching, and
 for counting: while ``lookup`` is replaced on the dictionary instance
 (as a counter does), the encoder calls it once per symbol.
 
-Bitstring order of two encoded keys equals the lexicographic order of
-``(padded_bytes, nbits)`` (proof in ``strutil``), so search trees can
-consume the padded bytes directly — exactly what the HOPE C++ release
-feeds its trees.
+The zero-padded bytes alone are injective and ordered like the source
+keys (proof in ``strutil``), so search trees consume them directly —
+exactly what the HOPE C++ release feeds its trees. ``nbits`` gives the
+bit-exact compressed size.
 
 ``encode_batch`` implements the §4.2 batching optimisation for sorted
 key runs: the common prefix of the batch is encoded once, up to the

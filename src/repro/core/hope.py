@@ -160,6 +160,13 @@ def build_hope(
         codes = assign_fixed(len(intervals))
     else:
         codes = hu_tucker_codes(probs)
+        # Trees index the zero-padded code bytes. A key extended by codes C
+        # pads to the key's own bytes only if C is all zeros and <= 7 bits
+        # long, and only the leftmost Hu-Tucker code is all zeros: append a
+        # 1 bit (its leaf becomes its right child, so the codes stay
+        # alphabetic and prefix-free). Fixed ALM codes need no fix: >= 256
+        # intervals give them >= 8 bits.
+        codes[0] = (1, codes[0][1] + 1)
     t2 = time.perf_counter()
 
     intervals = with_codes(intervals, codes)

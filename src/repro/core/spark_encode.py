@@ -9,12 +9,12 @@ trees" the banding hint prescribes.
 
 Output columns:
 
-* ``enc_key``   (binary) — zero-padded code bytes; lexicographic order
-  on (``enc_key``, ``enc_nbits``) equals source-key order;
-* ``enc_nbits`` (int)    — meaningful bit count (the padding tiebreak).
+* ``enc_key``   (binary) — zero-padded code bytes; their lexicographic
+  order alone equals source-key order (proof in ``strutil``);
+* ``enc_nbits`` (int)    — meaningful bit count (bit-exact size for CPR).
 
-``check_order_preserved`` verifies the property inside Spark: ranking
-by the encoded pair must equal ranking by the source key.
+``check_order_preserved`` verifies the property on the driver: ranking
+by ``enc_key`` must equal ranking by the source key.
 """
 from __future__ import annotations
 
@@ -51,13 +51,13 @@ def encode_df(df: DataFrame, key_col: str, hope: HopeEncoder) -> DataFrame:
 def check_order_preserved(encoded: DataFrame, key_col: str) -> int:
     """Count order violations between source-key rank and encoded rank.
 
-    Returns 0 iff sorting by (enc_key, enc_nbits) equals sorting by the
-    source key. Runs as a window-free self-join-free aggregate: collect
-    both rankings via two sorts of the key triple (cheap at repro scale).
+    Returns 0 iff sorting by ``enc_key`` equals sorting by the source
+    key. Collects every ``(key, enc_key)`` row to the driver and sorts
+    it twice there (cheap at repro scale, not distributed).
     """
-    rows = encoded.select(key_col, "enc_key", "enc_nbits").collect()
+    rows = encoded.select(key_col, "enc_key").collect()
     by_src = sorted(rows, key=lambda r: r[key_col].encode("latin-1"))
-    by_enc = sorted(rows, key=lambda r: (bytes(r["enc_key"]), r["enc_nbits"]))
+    by_enc = sorted(rows, key=lambda r: bytes(r["enc_key"]))
     return sum(
         1
         for a, b in zip(by_src, by_enc)
@@ -71,13 +71,10 @@ def encoded_range_filter(
     """Closed-open range ``[lo, hi)`` evaluated purely in the encoded domain.
 
     The query bounds are pair-encoded (§4.2 batching, batch size 2) and
-    compared against ``enc_key``/``enc_nbits`` with the padded-bytes +
-    bit-count order. Order preservation makes this equivalent to
-    filtering on the source keys — the DuckDB oracle checks exactly
-    that in the tests.
+    compared against ``enc_key`` alone. Order preservation makes this
+    equivalent to filtering on the source keys — the DuckDB oracle
+    checks exactly that in the tests.
     """
-    (lo_b, lo_n), (hi_b, hi_n) = hope.encoder.encode_pair(lo, hi)
-    enc_key, enc_nbits = F.col("enc_key"), F.col("enc_nbits")
-    ge_lo = (enc_key > F.lit(lo_b)) | ((enc_key == F.lit(lo_b)) & (enc_nbits >= F.lit(lo_n)))
-    lt_hi = (enc_key < F.lit(hi_b)) | ((enc_key == F.lit(hi_b)) & (enc_nbits < F.lit(hi_n)))
-    return encoded.where(ge_lo & lt_hi)
+    (lo_b, _), (hi_b, _) = hope.encoder.encode_pair(lo, hi)
+    enc_key = F.col("enc_key")
+    return encoded.where((enc_key >= F.lit(lo_b)) & (enc_key < F.lit(hi_b)))

@@ -14,14 +14,19 @@ axis arithmetic every other module needs:
   ``[lo, hi)``, which is the dictionary symbol of that interval;
 * bit-code utilities — codes are ``(value, nbits)`` pairs; comparison is
   bitstring-lexicographic; concatenated keys materialise as
-  zero-padded bytes plus an explicit bit count.
+  zero-padded bytes (``bits_to_bytes``).
 
-Why ``(padded_bytes, nbits)`` ordering equals bitstring ordering: two
-bitstrings that first differ at bit *k* differ in the byte containing
-*k* after zero-padding (earlier bytes equal, that byte smaller for the
-0-bit side); if one is a prefix of the other, padded bytes compare
-``<=`` and ``nbits`` breaks the tie in the right direction. This is
-property-tested in ``tests/test_strutil.py``.
+Why zero-padded bytes alone are an injective, order-preserving image of
+HOPE's encoded bitstrings: two bitstrings that first differ at bit *k*
+differ in the byte containing *k* after zero-padding (earlier bytes
+equal, that byte smaller for the 0-bit side). Otherwise one key's
+bitstring is a proper prefix of the other's, ``enc(B) = enc(A) + C``
+where C concatenates codes of B's extra symbols; the padded bytes tie
+only if C is all zeros and no longer than A's <= 7 padding bits. No
+such C exists: ``build_hope`` gives no Hu-Tucker interval an all-zero
+code, and fixed-length ALM codes over >= 256 intervals have >= 8 bits.
+This is property-tested in ``tests/test_strutil.py`` and
+``tests/test_order_property.py``.
 """
 from __future__ import annotations
 
@@ -140,7 +145,3 @@ def bits_to_bytes(value: int, nbits: int) -> bytes:
     pad = (-nbits) % 8
     return (value << pad).to_bytes((nbits + 7) // 8, "big")
 
-
-def encoded_sort_key(payload: bytes, nbits: int) -> Tuple[bytes, int]:
-    """Total order over encoded keys equal to bitstring order (see module doc)."""
-    return (payload, nbits)

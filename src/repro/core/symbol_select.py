@@ -22,7 +22,7 @@ path in ``core.spark_select`` computes the same Counter distributively.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .strutil import increment
 
@@ -33,6 +33,16 @@ _SEEDS = [bytes([b]) for b in range(256)]
 # ALM-Improved by counting only suffixes).
 ALM_MAX_SUBSTR = 16
 ALM_IMPROVED_MAX_SUFFIX = 64
+
+
+def _with_increments(symbols: Iterable[bytes]) -> List[bytes]:
+    """Sorted boundaries: the seeds, each symbol and its ``increment``."""
+    boundaries = set(_SEEDS)
+    for s in symbols:
+        boundaries.add(s)
+        boundaries.add(increment(s))
+    boundaries.discard(None)
+    return sorted(boundaries)
 
 
 def select_single_char(samples: Sequence[bytes]) -> List[bytes]:
@@ -80,13 +90,7 @@ def select_grams(
     # and local paths build byte-identical dictionaries
     ranked = sorted(freqs.items(), key=lambda kv: (-kv[1], kv[0]))
     top = [g for g, _ in ranked[:budget]]
-    boundaries = set(_SEEDS)
-    for g in top:
-        boundaries.add(g)
-        inc = increment(g)
-        if inc is not None:
-            boundaries.add(inc)
-    return sorted(boundaries)
+    return _with_increments(top)
 
 
 def count_substrings(samples: Iterable[bytes], max_len: int = ALM_MAX_SUBSTR) -> Counter:
@@ -115,43 +119,21 @@ def blend(freqs: Counter) -> Counter:
     """Antoshenkov's blending: move each symbol's count to its longest
     extension present in the list, so surviving symbols are prefix-free.
 
-    Implemented over the sorted symbol list: a symbol's extensions are
-    contiguous after it; processing symbols longest-first pushes counts
-    down chains in one pass using a parent map built from sorted order.
+    A symbol's count goes to its greatest ``(len, bytes)`` descendant,
+    or stays on it if it has none. A symbol's descendants follow it
+    contiguously in sorted order, so one reverse pass with a stack of
+    ``(symbol, greatest symbol of its subtree)`` finds them.
     """
-    syms = sorted(freqs)
-    blended = Counter(freqs)
-    # For each symbol, its longest extension is found by scanning sorted
-    # successors that start with it; track via a stack of open prefixes.
     result: Counter = Counter()
-    stack: List[bytes] = []  # chain of prefixes of the current symbol
-    children_of: Dict[bytes, List[bytes]] = {s: [] for s in syms}
-    roots: List[bytes] = []
-    for s in syms:
-        while stack and not s.startswith(stack[-1]):
-            stack.pop()
-        if stack:
-            children_of[stack[-1]].append(s)
-        else:
-            roots.append(s)
-        stack.append(s)
-    # Longest extension = deepest descendant; push counts to it.
-    def longest_leaf(s: bytes) -> bytes:
-        best, best_len = s, len(s)
-        todo = list(children_of[s])
-        while todo:
-            t = todo.pop()
-            if len(t) > best_len:
-                best, best_len = t, len(t)
-            todo.extend(children_of[t])
-        return best
-
-    for s in syms:
-        if children_of[s]:
-            tgt = longest_leaf(s)
-            result[tgt] += blended[s]
-        else:
-            result[s] += blended[s]
+    stack: List[Tuple[bytes, bytes]] = []
+    for s in sorted(freqs, reverse=True):
+        best = s
+        while stack and stack[-1][0].startswith(s):
+            t = stack.pop()[1]
+            if (len(t), t) > (len(best), best):
+                best = t
+        result[best] += freqs[s]
+        stack.append((s, best))
     return result
 
 
@@ -184,10 +166,4 @@ def select_alm(
     if len(chosen) > target:
         chosen.sort(key=lambda s: (-(len(s) * freqs[s]), s))
         chosen = chosen[:target]
-    boundaries = set(_SEEDS)
-    for s in chosen:
-        boundaries.add(s)
-        inc = increment(s)
-        if inc is not None:
-            boundaries.add(inc)
-    return sorted(boundaries)
+    return _with_increments(chosen)

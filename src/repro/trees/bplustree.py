@@ -14,8 +14,8 @@ bytes), matching the TLX string configuration.
 truncation [16, 25]: a leaf stores its keys' common prefix once and
 only suffixes per slot; inner separators are the shortest strings that
 separate adjacent leaves (materialised, so their bytes are counted).
-Lookup compares the query against the stored prefix once, then only
-suffix bytes — the string-comparison speedup HOPE compounds with.
+Only the memory model is prefix-truncated: queries run the plain
+``BPlusTree`` code on full keys.
 
 Both trees support point lookup, ordered range scans via leaf links,
 and single-key inserts with node splits. Keys are ``bytes``; values
@@ -190,11 +190,10 @@ class BPlusTree:
 class PrefixBPlusTree(BPlusTree):
     """B+tree with per-leaf prefix truncation and suffix-truncated separators.
 
-    Structure and query results are identical to ``BPlusTree``; what
-    changes is (a) the memory model — leaf key bytes are charged as
+    Structure, queries and their results are those of ``BPlusTree``;
+    only the memory model changes: leaf key bytes are charged as
     ``len(leaf_lcp) + sum(len(suffixes))`` and inner separators are
-    materialised shortest separators — and (b) lookup's comparison
-    pattern, which short-circuits on the stored leaf prefix.
+    materialised shortest separators.
     """
 
     @staticmethod
@@ -208,16 +207,6 @@ class PrefixBPlusTree(BPlusTree):
         """Shortest prefix of ``right_min`` strictly greater than ``left_max``."""
         i = lcp_len(left_max, right_min)
         return right_min[: i + 1] if i < len(right_min) else right_min
-
-    def lookup(self, key: bytes) -> Optional[Any]:
-        leaf = self._find_leaf(key)
-        prefix = self._lcp_of(leaf.keys)
-        if prefix and not key.startswith(prefix):
-            return None  # prefix mismatch decided without touching slots
-        i = bisect_left(leaf.keys, key)
-        if i < len(leaf.keys) and leaf.keys[i] == key:
-            return leaf.vals[i]
-        return None
 
     def memory_bytes(self) -> int:
         nodes = 0

@@ -10,7 +10,6 @@ import pytest
 from repro.core.dictionary import art_trie_bytes, bitmap_trie_bytes
 from repro.core.hope import SCHEME_TABLE, SCHEMES, build_hope
 from repro.core.intervals import check_order_preserving
-from repro.core.strutil import encoded_sort_key
 from repro.workloads.datasets import dataset_keys
 
 DICT_SIZE = 2048
@@ -78,7 +77,7 @@ class TestSchemeGuarantees:
     def test_order_preserving(self, scheme, ds, built):
         hope, keys = built[(scheme, ds)]
         ordered = sorted(set(keys))
-        enc = [encoded_sort_key(*hope.encode(k)) for k in ordered]
+        enc = [hope.encode(k)[0] for k in ordered]
         assert all(a < b for a, b in zip(enc, enc[1:]))
 
     def test_completeness_arbitrary_bytes(self, scheme, ds, built):

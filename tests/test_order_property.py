@@ -1,11 +1,14 @@
 """Hypothesis property tests: the §3.1 theorem — any complete HOPE
-dictionary encodes arbitrary byte strings order-preservingly."""
+dictionary encodes arbitrary byte strings order-preservingly — and its
+tree-facing form: the zero-padded code bytes alone are ordered strictly
+like the source keys."""
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hope import build_hope
-from repro.core.strutil import encoded_sort_key
+from repro.core.hope import SCHEMES, build_hope
 
 SAMPLES = [b"com.gmail@alice", b"com.gmail@bob", b"org.wiki@dave", b"net.x@y"] * 20
 
@@ -24,8 +27,8 @@ class TestOrderTheorem:
     @settings(max_examples=150, deadline=None)
     def test_pairwise_order(self, scheme, a, b):
         hope = _hope(scheme)
-        ka = encoded_sort_key(*hope.encode(a))
-        kb = encoded_sort_key(*hope.encode(b))
+        ka = hope.encode(a)[0]
+        kb = hope.encode(b)[0]
         if a < b:
             assert ka < kb
         elif a > b:
@@ -42,3 +45,46 @@ class TestOrderTheorem:
         assert nbits >= 1
         # decode-ability sanity: bit count consistent with payload length
         assert (nbits + 7) // 8 == len(payload)
+
+
+# Keys dense in 0x00 and 0xFF: the leftmost and rightmost axis intervals
+# get short codes, which is where zero padding can tie two keys.
+_NUL_ALPHABET = b"\x00\x00\x00\xff\xff\x01a"
+_NUL_RICH = st.lists(st.sampled_from(_NUL_ALPHABET), max_size=12).map(bytes) | st.binary(max_size=12)
+_NUL_BUILT = {}
+
+
+def _nul_rich_samples(seed):
+    rng = random.Random(seed)
+    out = [bytes(rng.choice(_NUL_ALPHABET) for _ in range(rng.randrange(13))) for _ in range(300)]
+    out += [rng.randbytes(rng.randrange(13)) for _ in range(100)]
+    return out
+
+
+def _nul_hope(scheme, entries):
+    if (scheme, entries) not in _NUL_BUILT:
+        _NUL_BUILT[scheme, entries] = build_hope(scheme, _nul_rich_samples(entries), max_dict_entries=entries)
+    return _NUL_BUILT[scheme, entries]
+
+
+@pytest.mark.parametrize("entries", [512, 4096])
+@pytest.mark.parametrize("scheme", SCHEMES)
+class TestPaddedBytesOrder:
+    def test_sorted_keys_encode_strictly_increasing(self, scheme, entries):
+        """Samples, ``b""`` and NUL/0xFF extensions of every sample, sorted."""
+        hope = _nul_hope(scheme, entries)
+        samples = _nul_rich_samples(entries)
+        keys = {b""} | {k + ext for k in samples for ext in (b"", b"\x00", b"\x00\x00", b"\xff")}
+        padded = [hope.encode(k)[0] for k in sorted(keys)]
+        assert all(a < b for a, b in zip(padded, padded[1:]))
+
+    @given(a=_NUL_RICH, b=_NUL_RICH, extend=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_pairwise_strict_order(self, scheme, entries, a, b, extend):
+        """Random pairs, half of them a key and a short extension of it."""
+        if extend:
+            b = a + b[:2]
+        hope = _nul_hope(scheme, entries)
+        pa, pb = hope.encode(a)[0], hope.encode(b)[0]
+        assert (pa < pb) == (a < b)
+        assert (pa == pb) == (a == b)

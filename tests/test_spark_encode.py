@@ -52,7 +52,7 @@ class TestEncodeDf:
         assert check_order_preserved(enc, "key") == 0
 
     def test_spark_sort_by_encoded_equals_source_sort(self, encoded):
-        by_enc = [r["key"] for r in encoded.orderBy("enc_key", "enc_nbits").collect()]
+        by_enc = [r["key"] for r in encoded.orderBy("enc_key").collect()]
         by_src = [r["key"] for r in encoded.orderBy("key").collect()]
         assert by_enc == by_src
 

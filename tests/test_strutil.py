@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.hu_tucker import hu_tucker_codes
 from repro.core.strutil import (
     bits_to_bytes,
     code_key,
-    encoded_sort_key,
     increment,
     interval_symbol,
     is_prefix_free,
@@ -134,23 +134,28 @@ class TestCodes:
         assert bits_to_bytes(0b1, 9) == bytes([0, 0b10000000])
         assert bits_to_bytes(0, 0) == b""
 
-    @given(st.lists(st.tuples(st.integers(0, 255), st.integers(1, 8)), min_size=2, max_size=20))
-    @settings(max_examples=200)
-    def test_encoded_sort_key_equals_bitstring_order(self, items):
-        # build random bitstrings from (value, nbits) chunks
-        def assemble(chunks):
-            acc, n = 0, 0
-            for v, b in chunks:
-                acc = (acc << b) | (v & ((1 << b) - 1))
-                n += b
-            return acc, n
+    @given(
+        weights=st.lists(st.floats(0, 100), min_size=2, max_size=12),
+        data=st.data(),
+    )
+    @settings(max_examples=300)
+    def test_padded_bytes_order_equals_bitstring_order(self, weights, data):
+        """Concatenated Hu-Tucker codes, with the first code extended by a
+        1 bit as ``build_hope`` does, pad to bytes ordered strictly like
+        their bitstrings: no padding ties."""
+        codes = hu_tucker_codes(weights)
+        codes[0] = (1, codes[0][1] + 1)
+        seqs = st.lists(st.sampled_from(codes), max_size=6)
+        a = data.draw(seqs)
+        b = data.draw(seqs) if data.draw(st.booleans()) else a + data.draw(seqs)
 
-        a = assemble(items[: len(items) // 2 + 1])
-        b = assemble(items[len(items) // 2 :])
-        sa = encoded_sort_key(bits_to_bytes(*a), a[1])
-        sb = encoded_sort_key(bits_to_bytes(*b), b[1])
-        # compare as actual bitstrings
-        bits_a = bin(a[0])[2:].zfill(a[1]) if a[1] else ""
-        bits_b = bin(b[0])[2:].zfill(b[1]) if b[1] else ""
-        assert (bits_a < bits_b) == (sa < sb)
-        assert (bits_a == bits_b) == (sa == sb)
+        def padded_and_bits(seq):
+            acc = n = 0
+            for v, nb in seq:
+                acc, n = acc << nb | v, n + nb
+            return bits_to_bytes(acc, n), "".join(format(v, f"0{nb}b") for v, nb in seq)
+
+        pa, bits_a = padded_and_bits(a)
+        pb, bits_b = padded_and_bits(b)
+        assert (pa < pb) == (bits_a < bits_b)
+        assert (pa == pb) == (bits_a == bits_b)

@@ -2,6 +2,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.intervals import AXIS_START, build_intervals
 from repro.core.strutil import increment
@@ -84,6 +86,21 @@ class TestBlend:
     def test_disjoint_symbols_unchanged(self):
         c = Counter({b"xy": 3, b"zz": 4})
         assert blend(c) == c
+
+    @given(
+        st.dictionaries(
+            st.lists(st.sampled_from(b"\x00\x00\xff\x01a"), max_size=6).map(bytes),
+            st.integers(0, 9),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300)
+    def test_matches_brute_force(self, freqs):
+        """Each count lands on the greatest (len, bytes) symbol extending its own."""
+        expected = Counter()
+        for s, f in freqs.items():
+            expected[max((t for t in freqs if t.startswith(s)), key=lambda t: (len(t), t))] += f
+        assert dict(blend(Counter(freqs))) == dict(expected)
 
 
 class TestGramSelector:
