@@ -2,10 +2,13 @@
 
 Each job is a ``spark-submit``-able script that prints its figure's
 table as GitHub-flavoured markdown; EXPERIMENTS.md records these
-outputs next to the paper's numbers.
+outputs next to the paper's numbers. A job that keeps structured
+records writes them to ``results/<figure>.jsonl`` (``write_records``)
+and renders its table from them.
 """
 from __future__ import annotations
 
+import json
 import os
 import sys
 from typing import Iterable, Sequence
@@ -37,6 +40,15 @@ def print_table(title: str, cols: Sequence[str], rows: Iterable[Sequence]) -> No
     for r in rows:
         print("| " + " | ".join(_fmt(v) for v in r) + " |")
     sys.stdout.flush()
+
+
+def write_records(figure: str, records: Sequence[dict]) -> str:
+    """Write one JSON object per line to ``results/<figure>.jsonl``; returns the path."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "results", f"{figure}.jsonl")
+    with open(path, "w") as f:
+        for r in records:
+            f.write(json.dumps(r) + "\n")
+    return os.path.normpath(path)
 
 
 def _fmt(v) -> str:

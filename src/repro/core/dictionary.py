@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from typing import List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .intervals import Interval
-from .strutil import distinct_prefixes, lcp_len
+from .strutil import Code, distinct_prefixes, lcp_len
 
 Lookup = Tuple[int, int, int]  # (code, nbits, symbol_len)
 
@@ -98,27 +99,46 @@ class ArrayDict(BaseDict):
     ``[b1, b1\\x00)``, i.e. the exact string ``b1``), entries
     ``b1*257 + 1 + b2`` are the 2-byte symbols.
 
-    A key is consumed ``width`` bytes at a time, with a 1-byte tail when
-    a width-2 key has odd length, so ``code_string`` encodes it as a
-    gather from tables of '0'/'1' code strings. Those tables are derived
-    from ``codes``/``nbits``: they are rebuilt on unpickling, not
-    pickled. ``lookup`` remains the per-symbol form of the same mapping.
+    The layout is fixed, so the dictionary is built from codes alone. A
+    key is consumed ``width`` bytes at a time, with a 1-byte tail when a
+    width-2 key has odd length, so ``code_string`` encodes it as a gather
+    from tables of '0'/'1' code strings; ``symbol_hits`` counts a sample's
+    symbols by the same split. The tables are derived from ``codes``/``nbits``:
+    they are rebuilt on unpickling, not pickled. ``lookup`` remains the
+    per-symbol form of the same mapping.
     """
 
     model = "array"
 
-    def __init__(self, intervals: Sequence[Interval], width: int):
+    def __init__(self, codes: Sequence[Code], width: int):
         if width not in (1, 2):
             raise ValueError("ArrayDict supports widths 1 and 2")
         expected = 256 if width == 1 else 256 * 257
-        if len(intervals) != expected:
-            raise ValueError(f"width-{width} ArrayDict needs {expected} entries, got {len(intervals)}")
+        if len(codes) != expected:
+            raise ValueError(f"width-{width} ArrayDict needs {expected} entries, got {len(codes)}")
         self.width = width
         self.max_boundary_len: int = width
-        self.codes: List[int] = [iv.code for iv in intervals]
-        self.nbits: List[int] = [iv.nbits for iv in intervals]
-        self.symlen: List[int] = [len(iv.symbol) for iv in intervals]
+        self.codes: List[int] = [c for c, _ in codes]
+        self.nbits: List[int] = [n for _, n in codes]
+        self.symlen: List[int] = [1] * 256 if width == 1 else ([1] + [2] * 256) * 256
         self._build_gather_tables()
+
+    @staticmethod
+    def symbol_hits(samples: Iterable[bytes], width: int) -> List[int]:
+        """Per-entry symbol counts of encoding ``samples`` (the §4.2 test encode)."""
+        samples = list(samples)
+        if width == 1:
+            counts = Counter(b"".join(samples))
+            return [counts[b] for b in range(256)]
+        hits = [0] * (256 * 257)
+        for b1, c in Counter(k[-1] for k in samples if len(k) & 1).items():
+            hits[b1 * 257] = c
+        # The pairs ``code_string`` gathers by; even-length prefixes stay aligned when joined.
+        pairs = memoryview(b"".join(k[: len(k) & ~1] for k in samples)).cast("H")
+        for u, c in Counter(pairs).items():
+            b1, b2 = u.to_bytes(2, sys.byteorder)
+            hits[b1 * 257 + 1 + b2] = c
+        return hits
 
     def _build_gather_tables(self) -> None:
         # Each code as its nbits-long '0'/'1' string ("" when nbits is 0).

@@ -21,8 +21,10 @@ bytes of its paper trie layout (see ``dictionary``).
 
 Build timing is recorded per module (symbol_select / code_assign /
 dict_build) to reproduce Figure 9. Interval access probabilities come
-from a test encoding of the samples over the chosen intervals (§4.2),
-with the same bounded-window binary search as the runtime lookup.
+from a test encoding of the samples (§4.2): variable-interval schemes
+bisect over their checked ``Interval``s as the runtime lookup does;
+Single/Double-Char, whose layout is fixed, count the samples' 1- and
+2-byte symbols and build their ``ArrayDict`` from the codes alone.
 """
 from __future__ import annotations
 
@@ -39,15 +41,14 @@ from .intervals import Interval, build_intervals, with_codes
 
 SCHEMES = ("single", "double", "3grams", "4grams", "alm", "alm-improved")
 
-#: scheme -> (selector kind, fixed dictionary size or None, code kind,
-#: dictionary memory model)
+#: scheme -> (selector kind, code kind, dictionary memory model)
 SCHEME_TABLE = {
-    "single": ("single", 256, "hu-tucker", "array"),
-    "double": ("double", 256 * 257, "hu-tucker", "array"),
-    "alm": ("alm", None, "fixed", "art"),
-    "3grams": ("grams3", None, "hu-tucker", "bitmap"),
-    "4grams": ("grams4", None, "hu-tucker", "bitmap"),
-    "alm-improved": ("alm-improved", None, "hu-tucker", "art"),
+    "single": ("single", "hu-tucker", "array"),
+    "double": ("double", "hu-tucker", "array"),
+    "alm": ("alm", "fixed", "art"),
+    "3grams": ("grams3", "hu-tucker", "bitmap"),
+    "4grams": ("grams4", "hu-tucker", "bitmap"),
+    "alm-improved": ("alm-improved", "hu-tucker", "art"),
 }
 
 
@@ -58,12 +59,20 @@ class HopeEncoder:
     scheme: str
     dictionary: BaseDict
     encoder: Encoder
-    intervals: List[Interval]
     build_times: Dict[str, float] = field(default_factory=dict)
 
     @property
     def dict_entries(self) -> int:
-        return len(self.intervals)
+        return len(self.dictionary)
+
+    @property
+    def intervals(self) -> List[Interval]:
+        """The dictionary's intervals with their codes, derived on demand."""
+        d = self.dictionary
+        if isinstance(d, ArrayDict):
+            select = ss.select_single_char if d.width == 1 else ss.select_double_char
+            return with_codes(build_intervals(select(())), list(zip(d.codes, d.nbits)))
+        return with_codes(build_intervals(d.boundaries), [v[:2] for v in d.values])
 
     def dict_memory_bytes(self) -> int:
         return self.dictionary.memory_bytes()
@@ -93,10 +102,6 @@ class HopeEncoder:
 
 
 def _select_boundaries(kind: str, samples: Sequence[bytes], max_entries: int, freqs) -> List[bytes]:
-    if kind == "single":
-        return ss.select_single_char(samples)
-    if kind == "double":
-        return ss.select_double_char(samples)
     if kind == "grams3":
         return ss.select_grams(samples, 3, max_entries, freqs=freqs)
     if kind == "grams4":
@@ -126,13 +131,6 @@ def _test_encode_probabilities(
     return [float(h) for h in hits]
 
 
-def _build_dictionary(model: str, intervals: Sequence[Interval]) -> BaseDict:
-    if model == "array":
-        width = 1 if len(intervals) == 256 else 2
-        return ArrayDict(intervals, width=width)
-    return SortedBoundaryDict(intervals, model=model)
-
-
 def build_hope(
     scheme: str,
     samples: Sequence[bytes],
@@ -146,18 +144,19 @@ def build_hope(
     """
     if scheme not in SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    sel_kind, fixed_size, code_kind, dict_model = SCHEME_TABLE[scheme]
-    if fixed_size is not None:
-        max_dict_entries = fixed_size
+    sel_kind, code_kind, dict_model = SCHEME_TABLE[scheme]
 
     t0 = time.perf_counter()
-    boundaries = _select_boundaries(sel_kind, samples, max_dict_entries, freqs)
-    intervals = build_intervals(boundaries)
-    probs = _test_encode_probabilities(intervals, samples)
+    if dict_model == "array":
+        width = 1 if sel_kind == "single" else 2
+        probs = ArrayDict.symbol_hits(samples, width)
+    else:
+        intervals = build_intervals(_select_boundaries(sel_kind, samples, max_dict_entries, freqs))
+        probs = _test_encode_probabilities(intervals, samples)
     t1 = time.perf_counter()
 
     if code_kind == "fixed":
-        codes = assign_fixed(len(intervals))
+        codes = assign_fixed(len(probs))
     else:
         codes = hu_tucker_codes(probs)
         # Trees index the zero-padded code bytes. A key extended by codes C
@@ -169,15 +168,16 @@ def build_hope(
         codes[0] = (1, codes[0][1] + 1)
     t2 = time.perf_counter()
 
-    intervals = with_codes(intervals, codes)
-    dictionary = _build_dictionary(dict_model, intervals)
+    if dict_model == "array":
+        dictionary: BaseDict = ArrayDict(codes, width)
+    else:
+        dictionary = SortedBoundaryDict(with_codes(intervals, codes), model=dict_model)
     t3 = time.perf_counter()
 
     return HopeEncoder(
         scheme=scheme,
         dictionary=dictionary,
         encoder=Encoder(dictionary),
-        intervals=intervals,
         build_times={
             "symbol_select": t1 - t0,
             "code_assign": t2 - t1,

@@ -31,37 +31,40 @@ def garsia_wachs_depths(weights: Sequence[float]) -> List[int]:
     Classic three-phase Garsia–Wachs: (1) repeatedly combine the
     leftmost *locally minimal pair* and float the combined node left
     past smaller weights; (2) read leaf depths off the combined tree.
-    List-based implementation: worst case O(n^2) movement, near
-    O(n log n) on realistic frequency data.
+
+    One resumable pass: a stack holds the working sequence's prefix, and
+    input leaves are pushed only when a pair test reads them. After the
+    combined node lands at ``i`` the search resumes at ``i - 1``; tests
+    further left read unchanged entries and stay false. A round costs
+    O(1) plus the distance its node floats: O(n^2) worst case,
+    near-linear on frequency data.
     """
     n = len(weights)
-    if n == 0:
-        return []
-    if n == 1:
-        return [0]
+    if n <= 1:
+        return [0] * n
 
-    # Working sequence holds (weight, node). Leaves are ints (their
-    # index); internal nodes are (left, right) tuples.
-    seq: List[Tuple[float, object]] = [(float(w), i) for i, w in enumerate(weights)]
-
-    while len(seq) > 1:
-        m = len(seq)
-        # Find leftmost j >= 1 with w[j-1] <= w[j+1] (w[m] = +inf).
-        j = m - 1
-        for k in range(1, m):
-            right = seq[k + 1][0] if k + 1 < m else float("inf")
-            if seq[k - 1][0] <= right:
-                j = k
-                break
-        s = seq[j - 1][0] + seq[j][0]
-        node = (seq[j - 1][1], seq[j][1])
-        del seq[j - 1 : j + 1]
+    # Stack entries are (weight, node). Leaves are ints (their index);
+    # internal nodes are (left, right) tuples.
+    seq: List[Tuple[float, object]] = []
+    nxt = 0  # next input leaf
+    k = 1  # next pair test: w[k-1] <= w[k+1] (w past the end = +inf)
+    while len(seq) > 1 or nxt < n:
+        while len(seq) <= k + 1 and nxt < n:
+            seq.append((float(weights[nxt]), nxt))
+            nxt += 1
+        if k + 1 < len(seq) and seq[k - 1][0] > seq[k + 1][0]:
+            k += 1
+            continue
+        s = seq[k - 1][0] + seq[k][0]
+        node = (seq[k - 1][1], seq[k][1])
+        del seq[k - 1 : k + 1]
         # Float the combined node left: insert after the rightmost
         # element (strictly left of the removal point) with weight >= s.
-        i = j - 1
+        i = k - 1
         while i > 0 and seq[i - 1][0] < s:
             i -= 1
         seq.insert(i, (s, node))
+        k = max(1, i - 1)
 
     depths = [0] * n
     stack = [(seq[0][1], 0)]
@@ -88,8 +91,8 @@ def canonical_alphabetic_codes(depths: Sequence[int]) -> List[Code]:
     if n == 0:
         return []
     if n == 1:
-        # A one-entry dictionary still needs a non-empty code.
-        return [(0, max(1, depths[0]))] if depths[0] == 0 else [(0, depths[0])]
+        # A single leaf has depth 0, but a one-entry dictionary still needs a non-empty code.
+        return [(0, 1)]
     codes: List[Code] = []
     val = 0
     prev = depths[0]

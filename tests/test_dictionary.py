@@ -37,6 +37,10 @@ def _made(boundaries):
     return with_codes(ivs, assign_fixed(len(ivs)))
 
 
+def _codes(ivs):
+    return [(iv.code, iv.nbits) for iv in ivs]
+
+
 def _random_keys(n, seed=0, maxlen=20):
     rng = random.Random(seed)
     out = []
@@ -105,21 +109,21 @@ TRIE_GOLDEN_MEMORY = {
 class TestArrayDict:
     def test_single_char_lookup(self):
         ivs = _made(select_single_char(SAMPLES))
-        d = ArrayDict(ivs, width=1)
+        d = ArrayDict(_codes(ivs), width=1)
         code, nbits, symlen = d.lookup(b"apple", 0)
         assert symlen == 1
         assert code == 97  # fixed codes are the interval indexes
 
     def test_double_char_lookup_pair(self):
         ivs = _made(select_double_char(SAMPLES))
-        d = ArrayDict(ivs, width=2)
+        d = ArrayDict(_codes(ivs), width=2)
         code, nbits, symlen = d.lookup(b"aa", 0)
         assert symlen == 2
         assert code == 97 * 257 + 1 + 97
 
     def test_double_char_lookup_terminator(self):
         ivs = _made(select_double_char(SAMPLES))
-        d = ArrayDict(ivs, width=2)
+        d = ArrayDict(_codes(ivs), width=2)
         code, nbits, symlen = d.lookup(b"xa", 1)  # one byte left
         assert symlen == 1
         assert code == 97 * 257
@@ -127,16 +131,31 @@ class TestArrayDict:
     def test_wrong_size_raises(self):
         ivs = _made(select_single_char(SAMPLES))
         with pytest.raises(ValueError):
-            ArrayDict(ivs, width=2)
+            ArrayDict(_codes(ivs), width=2)
 
     def test_memory(self):
         ivs = _made(select_single_char(SAMPLES))
-        assert ArrayDict(ivs, width=1).memory_bytes() == 256 * 5
+        assert ArrayDict(_codes(ivs), width=1).memory_bytes() == 256 * 5
+
+    @pytest.mark.parametrize("width,selector", [(1, select_single_char), (2, select_double_char)])
+    def test_symbol_hits_match_test_encode(self, width, selector):
+        """Counting 1-/2-byte symbols equals test-encoding by predecessor search."""
+        ivs = _made(selector(SAMPLES))
+        keys = _random_keys(300, seed=width) + [b"", b"a", b"ab", b"\xff\xff\xff"]
+        hits = [0] * len(ivs)
+        boundaries = [iv.lo for iv in ivs]
+        for k in keys:
+            pos = 0
+            while pos < len(k):
+                i = bisect_right(boundaries, k[pos:]) - 1
+                hits[i] += 1
+                pos += len(ivs[i].symbol)
+        assert ArrayDict.symbol_hits(keys, width) == hits
 
     @pytest.mark.parametrize("width,selector", [(1, select_single_char), (2, select_double_char)])
     def test_matches_baseline(self, width, selector):
         ivs = _made(selector(SAMPLES))
-        d = ArrayDict(ivs, width=width)
+        d = ArrayDict(_codes(ivs), width=width)
         base = SortedBoundaryDict(ivs)
         for k in _random_keys(300, seed=width):
             for pos in range(min(3, len(k))):

@@ -42,7 +42,7 @@ class TestTable1Wiring:
     def test_dictionary_structure(self, scheme, model, built):
         """Table 1's dictionary column, as the memory model each scheme charges."""
         hope, _ = built[(scheme, "email")]
-        assert SCHEME_TABLE[scheme][3] == model
+        assert SCHEME_TABLE[scheme][-1] == model
         assert hope.dictionary.model == model
 
     def test_bitmap_vs_art_models(self, built):

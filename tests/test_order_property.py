@@ -1,14 +1,15 @@
 """Hypothesis property tests: the §3.1 theorem — any complete HOPE
 dictionary encodes arbitrary byte strings order-preservingly — and its
 tree-facing form: the zero-padded code bytes alone are ordered strictly
-like the source keys."""
+like the source keys, and decode back to them."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.hope import SCHEMES, build_hope
+from repro.workloads.datasets import email_keys
 
 SAMPLES = [b"com.gmail@alice", b"com.gmail@bob", b"org.wiki@dave", b"net.x@y"] * 20
 
@@ -88,3 +89,55 @@ class TestPaddedBytesOrder:
         pa, pb = hope.encode(a)[0], hope.encode(b)[0]
         assert (pa < pb) == (a < b)
         assert (pa == pb) == (a == b)
+
+
+# -- round trip: the padded bytes alone decode back to the key ------------
+
+_ROUND_TRIP = {}
+
+
+def _trained(scheme, training):
+    """A built HOPE and its (nbits, code) -> interval symbol table."""
+    if (scheme, training) not in _ROUND_TRIP:
+        if training == "email":
+            hope = build_hope(scheme, email_keys(1000), max_dict_entries=4096)
+        else:
+            hope = _nul_hope(scheme, int(training.split("-")[1]))
+        table = {(iv.nbits, iv.code): iv.symbol for iv in hope.intervals}
+        _ROUND_TRIP[scheme, training] = hope, table
+    return _ROUND_TRIP[scheme, training]
+
+
+def _decode(table, padded):
+    """Read the bits greedily, one prefix-free code at a time, into symbols.
+
+    Stops once fewer than 8 bits remain and all are zero: that is the
+    padding, since no code of fewer than 8 bits is all zeros.
+    """
+    bits = "".join(f"{b:08b}" for b in padded)
+    out, pos, end = [], 0, 0
+    while len(bits) - pos >= 8 or "1" in bits[pos:]:
+        end += 1
+        if end > len(bits):
+            raise ValueError(f"no code matches {bits[pos:]!r}")
+        symbol = table.get((end - pos, int(bits[pos:end], 2)))
+        if symbol is not None:
+            out.append(symbol)
+            pos = end
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("training", ["email", "nul-512", "nul-4096"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@given(k=st.binary())
+@example(k=b"")
+@example(k=b"\x00")
+@example(k=b"\x00\x00")  # a short all-zero last code would pad away
+@example(k=b"\xff\x00\x00")
+@example(k=bytes(range(256)))
+@settings(max_examples=150, deadline=None)
+def test_padded_bytes_decode_to_key(scheme, training, k):
+    hope, table = _trained(scheme, training)
+    padded, nbits = hope.encode(k)
+    assert len(padded) == -(-nbits // 8)
+    assert _decode(table, padded) == k
