@@ -14,6 +14,13 @@ the interval's code and symbol length. Two runtime structures:
                            the sorted boundary list, on a window of the
                            suffix no longer than the longest boundary.
 
+3/4-Grams (boundaries of at most ``WINDOW_MAP_MAX_LEN`` bytes) also keep a
+window map, window -> lookup, filled by ``bisect`` on a miss and capped at
+``WINDOW_MAP_CAP`` entries: short windows repeat, so one dict probe replaces
+most bisects. It is not pickled, and ``window_map_size`` reports it apart
+from ``memory_bytes``. ALM's windows run to 64 bytes, so its map would hold
+about one entry per distinct key suffix (tens of MB): ALM keeps ``bisect``.
+
 The paper's bitmap-trie (3/4-Grams, Figure 6) and ART-based trie
 (ALM*) are 2.3x faster than binary search in C++; in Python an
 interpreted trie walk is 2-3x *slower* than the ``bisect`` builtin.
@@ -28,7 +35,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from collections import Counter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .intervals import Interval
 from .strutil import Code, distinct_prefixes, lcp_len
@@ -39,13 +46,41 @@ Lookup = Tuple[int, int, int]  # (code, nbits, symbol_len)
 _VALUE_BYTES = 5
 # Bitmap-trie node (Figure 6): 256-bit child bitmap + 32-bit prefix counter.
 _BITMAP_NODE_BYTES = 36
+# Longest boundary for which a ``SortedBoundaryDict`` keeps a window map
+# (3/4-Grams), and the entries at which the map stops growing.
+WINDOW_MAP_MAX_LEN = 4
+WINDOW_MAP_CAP = 1 << 18
 
 
 class BaseDict:
-    """Interface: lookup(src, pos) -> (code, nbits, symbol_len)."""
+    """Interface: lookup(src, pos) -> (code, nbits, symbol_len).
+
+    ``windows`` is the encoder's window map, or None. The attributes named
+    in ``_derived`` are rebuilt by ``_derive`` on unpickling, not pickled.
+    """
+
+    windows: Optional[Dict[bytes, Lookup]] = None
+    _derived: Tuple[str, ...] = ()
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        for name in self._derived:
+            del state[name]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._derive()
 
     def lookup(self, src: bytes, pos: int) -> Lookup:  # pragma: no cover
         raise NotImplementedError
+
+    def window_map_size(self) -> Tuple[int, int]:
+        """(entries, bytes) of the window map: a Python cache, outside the paper's model."""
+        m = self.windows
+        if m is None:
+            return 0, 0
+        return len(m), sys.getsizeof(m) + sum(map(sys.getsizeof, m))
 
     def memory_bytes(self) -> int:  # pragma: no cover
         raise NotImplementedError
@@ -63,7 +98,12 @@ class SortedBoundaryDict(BaseDict):
 
     ``model`` names the trie layout whose bytes ``memory_bytes`` reports:
     ``"bitmap"`` (3/4-Grams) or ``"art"`` (ALM / ALM-Improved).
+
+    With ``max_boundary_len <= WINDOW_MAP_MAX_LEN``, ``windows`` keeps the
+    lookup of each window seen; every entry is exact, as the window is.
     """
+
+    _derived = ("windows",)
 
     def __init__(self, intervals: Sequence[Interval], model: str = "bitmap"):
         if model not in ("bitmap", "art"):
@@ -75,12 +115,23 @@ class SortedBoundaryDict(BaseDict):
                 raise ValueError(f"boundaries not strictly sorted: {a!r} >= {b!r}")
         self.values: List[Lookup] = [(iv.code, iv.nbits, len(iv.symbol)) for iv in intervals]
         self.max_boundary_len: int = max(len(b) for b in self.boundaries)
+        self._derive()
+
+    def _derive(self) -> None:
+        self.windows = {} if self.max_boundary_len <= WINDOW_MAP_MAX_LEN else None
 
     def lookup(self, src: bytes, pos: int) -> Lookup:
         i = bisect_right(self.boundaries, src[pos : pos + self.max_boundary_len]) - 1
         if i < 0:
             raise KeyError(f"no interval contains {src[pos:]!r} (incomplete dictionary)")
         return self.values[i]
+
+    def window_miss(self, window: bytes) -> Lookup:
+        """Look ``window`` up by ``bisect`` and store it in the map while under the cap."""
+        found = self.lookup(window, 0)
+        if len(self.windows) < WINDOW_MAP_CAP:
+            self.windows[window] = found
+        return found
 
     def memory_bytes(self) -> int:
         trie_bytes = bitmap_trie_bytes if self.model == "bitmap" else art_trie_bytes
@@ -109,6 +160,7 @@ class ArrayDict(BaseDict):
     """
 
     model = "array"
+    _derived = ("_heads", "_tails")
 
     def __init__(self, codes: Sequence[Code], width: int):
         if width not in (1, 2):
@@ -121,7 +173,7 @@ class ArrayDict(BaseDict):
         self.codes: List[int] = [c for c, _ in codes]
         self.nbits: List[int] = [n for _, n in codes]
         self.symlen: List[int] = [1] * 256 if width == 1 else ([1] + [2] * 256) * 256
-        self._build_gather_tables()
+        self._derive()
 
     @staticmethod
     def symbol_hits(samples: Iterable[bytes], width: int) -> List[int]:
@@ -140,7 +192,7 @@ class ArrayDict(BaseDict):
             hits[b1 * 257 + 1 + b2] = c
         return hits
 
-    def _build_gather_tables(self) -> None:
+    def _derive(self) -> None:
         # Each code as its nbits-long '0'/'1' string ("" when nbits is 0).
         bits = [bin(c | 1 << n)[3:] for c, n in zip(self.codes, self.nbits)]
         self._tails: Optional[List[str]] = None
@@ -154,15 +206,6 @@ class ArrayDict(BaseDict):
             rows = zip(*rows)
         self._heads = [s for row in rows for s in row]
         self._tails = bits[::257]
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_heads"], state["_tails"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._build_gather_tables()
 
     def lookup(self, src: bytes, pos: int) -> Lookup:
         if self.width == 1:

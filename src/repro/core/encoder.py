@@ -11,9 +11,11 @@ bytes plus an explicit bit count.
 Fixed-interval schemes (Single-/Double-Char, ``ArrayDict``) have
 fixed-width symbols, so a key's code bits are one table gather
 (``ArrayDict.code_string``), parsed once by ``int(bits, 2)``. The
-per-symbol loop stays the path for variable intervals and batching, and
-for counting: while ``lookup`` is replaced on the dictionary instance
-(as a counter does), the encoder calls it once per symbol.
+per-symbol loop stays the path for variable intervals and batching;
+with a window map (3/4-Grams, see ``dictionary``) each step is one dict
+probe, with ``bisect`` only on a miss. While ``lookup`` is replaced on
+the dictionary instance (as a counter does), the encoder calls it once
+per symbol.
 
 The zero-padded bytes alone are injective and ordered like the source
 keys (proof in ``strutil``), so search trees consume them directly —
@@ -48,7 +50,18 @@ class Encoder:
 
         Returns the grown ``(acc, nbits)`` and the position reached.
         """
-        lookup = self.dictionary.lookup
+        d = self.dictionary
+        windows = d.windows
+        if windows is not None and "lookup" not in vars(d):
+            get, miss, span = windows.get, d.window_miss, d.max_boundary_len
+            while pos < stop:
+                w = key[pos : pos + span]
+                code, cbits, symlen = get(w) or miss(w)
+                acc = (acc << cbits) | code
+                nbits += cbits
+                pos += symlen
+            return acc, nbits, pos
+        lookup = d.lookup
         while pos < stop:
             code, cbits, symlen = lookup(key, pos)
             acc = (acc << cbits) | code

@@ -9,8 +9,8 @@ monotonically increasing prefix codes to the intervals yields a
 complete, order-preserving dictionary (§3.1's proof).
 
 ``Interval`` carries everything the Dictionary / Encoder modules need.
-Validators encode the paper's three properties as checks used by tests
-and by ``build_hope`` in debug mode.
+Validators encode the paper's three properties as checks used by the
+tests.
 """
 from __future__ import annotations
 

@@ -13,8 +13,9 @@ Output columns:
   order alone equals source-key order (proof in ``strutil``);
 * ``enc_nbits`` (int)    — meaningful bit count (bit-exact size for CPR).
 
+A null key passes through: both columns are null on its row.
 ``check_order_preserved`` verifies the property on the driver: ranking
-by ``enc_key`` must equal ranking by the source key.
+by ``enc_key`` must equal ranking by the source key, over non-null keys.
 """
 from __future__ import annotations
 
@@ -39,10 +40,10 @@ def encode_df(df: DataFrame, key_col: str, hope: HopeEncoder) -> DataFrame:
     def encode_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         enc = encoder.encode
         for pdf in batches:
-            encoded = [enc(k.encode("latin-1")) for k in pdf[key_col]]
+            encoded = [(None, None) if k is None else enc(k.encode("latin-1")) for k in pdf[key_col]]
             pdf = pdf.copy()
             pdf["enc_key"] = [e[0] for e in encoded]
-            pdf["enc_nbits"] = [e[1] for e in encoded]
+            pdf["enc_nbits"] = pd.array([e[1] for e in encoded], dtype="Int32")
             yield pdf
 
     return df.mapInPandas(encode_partition, schema=schema)
@@ -52,10 +53,11 @@ def check_order_preserved(encoded: DataFrame, key_col: str) -> int:
     """Count order violations between source-key rank and encoded rank.
 
     Returns 0 iff sorting by ``enc_key`` equals sorting by the source
-    key. Collects every ``(key, enc_key)`` row to the driver and sorts
-    it twice there (cheap at repro scale, not distributed).
+    key. Rows with a null key are ignored. Collects every other
+    ``(key, enc_key)`` row to the driver and sorts it twice there (cheap
+    at repro scale, not distributed).
     """
-    rows = encoded.select(key_col, "enc_key").collect()
+    rows = encoded.where(F.col(key_col).isNotNull()).select(key_col, "enc_key").collect()
     by_src = sorted(rows, key=lambda r: r[key_col].encode("latin-1"))
     by_enc = sorted(rows, key=lambda r: bytes(r["enc_key"]))
     return sum(

@@ -6,6 +6,7 @@ paper's structures are performance variants of one abstract dictionary.
 The trie layouts are memory models, checked against an explicit trie
 and against values pinned from the pointer trie they replaced.
 """
+import pickle
 import random
 from bisect import bisect_right
 
@@ -14,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dictionary import (
+    WINDOW_MAP_CAP,
     ArrayDict,
     SortedBoundaryDict,
     art_node_bytes,
     art_trie_bytes,
     bitmap_trie_bytes,
 )
+from repro.core.encoder import Encoder
 from repro.core.hu_tucker import assign_fixed
 from repro.core.intervals import build_intervals, with_codes
 from repro.core.symbol_select import (
@@ -271,3 +274,59 @@ class TestSortedBaseline:
         trie = SortedBoundaryDict(ivs3, model="bitmap")
         per_entry_trie = trie.memory_bytes() / len(trie)
         assert per_entry_trie < 5 * 36  # sane: far below one node per entry
+
+
+def _bisect_encoding(ivs, key):
+    """Reference encode: one whole-suffix predecessor search per symbol."""
+    acc = nbits = pos = 0
+    while pos < len(key):
+        code, cbits, symlen = _predecessor(ivs, key, pos)
+        acc, nbits, pos = (acc << cbits) | code, nbits + cbits, pos + symlen
+    return acc, nbits
+
+
+class TestWindowMap:
+    """The derived window -> lookup map of 3/4-Grams dictionaries."""
+
+    def test_map_stops_at_cap(self):
+        ivs = VARIABLE_IVS["4grams"]
+        d = SortedBoundaryDict(ivs)
+        # Distinct 4-byte windows spread over the whole axis (odd multiplier mod 2^32).
+        windows = [(i * 2654435761 % (1 << 32)).to_bytes(4, "big") for i in range(WINDOW_MAP_CAP + 500)]
+        for w in windows:
+            d.window_miss(w)
+        assert len(d.windows) == WINDOW_MAP_CAP
+        assert windows[-1] not in d.windows
+        for w in windows[:200] + windows[-200:]:  # stored entries and misses past the cap
+            assert d.window_miss(w) == _predecessor(ivs, w, 0)
+        enc = Encoder(d)
+        keys = _random_keys(300, seed=5) + [b"", b"\x00", b"\xff" * 9]
+        assert [enc.encode_bits(k) for k in keys] == [_bisect_encoding(ivs, k) for k in keys]
+        assert len(d.windows) == WINDOW_MAP_CAP
+
+    @pytest.mark.parametrize("name", sorted(VARIABLE_IVS))
+    def test_pickle_carries_no_map(self, name):
+        ivs = VARIABLE_IVS[name]
+        d = SortedBoundaryDict(ivs, model="art")
+        keys = _random_keys(200, seed=7) + SAMPLES[:4]
+        warm = [Encoder(d).encode(k) for k in keys]
+        assert (d.windows is not None) == (d.max_boundary_len <= 4)
+        if d.windows is not None:
+            assert d.windows
+        blob = pickle.dumps(d, protocol=pickle.HIGHEST_PROTOCOL)
+        assert blob == pickle.dumps(SortedBoundaryDict(ivs, model="art"), protocol=pickle.HIGHEST_PROTOCOL)
+        back = pickle.loads(blob)
+        assert back.windows == ({} if d.windows is not None else None)
+        assert [Encoder(back).encode(k) for k in keys] == warm
+        assert back.memory_bytes() == d.memory_bytes()
+
+    def test_map_size_is_reported_apart_from_memory_model(self):
+        d = SortedBoundaryDict(VARIABLE_IVS["3grams"])
+        model = d.memory_bytes()
+        assert d.window_map_size()[0] == 0
+        for k in SAMPLES[:4]:
+            Encoder(d).encode(k)
+        entries, nbytes = d.window_map_size()
+        assert entries == len(d.windows) > 0
+        assert nbytes > entries * len(b"abc")
+        assert d.memory_bytes() == model

@@ -110,19 +110,25 @@ _NUL_RICH = [bytes(random.Random(i).choices(b"\x00\x00\x00\x01\xfe\xff", k=i % 1
 
 
 @functools.cache
-def _array_hope(scheme, training):
+def _hope(scheme, training):
     return build_hope(scheme, SAMPLES if training == "text" else _NUL_RICH)
 
 
-def _reference_bits(d, key):
-    """The per-symbol loop over ``ArrayDict.lookup``."""
-    acc = nbits = pos = 0
+def _reference_steps(d, key):
+    """The per-symbol loop over the class's ``lookup`` (``bisect`` for
+    ``SortedBoundaryDict``): (bit accumulator, total bits, symbols)."""
+    acc = nbits = pos = steps = 0
     while pos < len(key):
-        code, cbits, symlen = ArrayDict.lookup(d, key, pos)
+        code, cbits, symlen = type(d).lookup(d, key, pos)
         acc = (acc << cbits) | code
         nbits += cbits
         pos += symlen
-    return acc, nbits
+        steps += 1
+    return acc, nbits, steps
+
+
+def _reference_bits(d, key):
+    return _reference_steps(d, key)[:2]
 
 
 _KEYS = st.one_of(
@@ -144,14 +150,14 @@ class TestFixedWidthGather:
     @example(key=bytes(range(255)))
     @example(key=bytes(range(256)))
     def test_gather_equals_lookup_loop(self, scheme, training, key):
-        hope = _array_hope(scheme, training)
+        hope = _hope(scheme, training)
         acc, nbits = _reference_bits(hope.dictionary, key)
         assert hope.encoder.encode_bits(key) == (acc, nbits)
         assert hope.encoder.encode(key) == (bits_to_bytes(acc, nbits), nbits)
 
     @pytest.mark.parametrize("scheme", ["single", "double"])
     def test_pickle_roundtrip(self, scheme):
-        hope = _array_hope(scheme, "text")
+        hope = _hope(scheme, "text")
         enc = pickle.loads(pickle.dumps(hope.encoder))
         keys = _EDGE_KEYS + [s + b"!" for s in SAMPLES[:4]] + _NUL_RICH
         assert [enc.encode(k) for k in keys] == [hope.encode(k) for k in keys]
@@ -160,7 +166,7 @@ class TestFixedWidthGather:
 
     @pytest.mark.parametrize("scheme,width", [("single", 1), ("double", 2)])
     def test_instance_lookup_is_called_per_symbol(self, scheme, width):
-        hope = _array_hope(scheme, "nul")
+        hope = _hope(scheme, "nul")
         d = hope.dictionary
         keys = _EDGE_KEYS + _NUL_RICH + SAMPLES[:4]
         gathered = [hope.encode(k) for k in keys]
@@ -180,3 +186,61 @@ class TestFixedWidthGather:
                 assert calls - before == 2 * -(-len(k) // width)
         finally:
             del d.lookup
+
+
+class TestWindowMap:
+    """3/4-Grams encode through the window map; it must equal ``bisect``."""
+
+    @pytest.mark.parametrize("training", ["text", "nul"])
+    @pytest.mark.parametrize("scheme", ["3grams", "4grams"])
+    @settings(max_examples=150, deadline=None)
+    @given(keys=st.lists(_KEYS, max_size=6))
+    @example(keys=[b"", b"a", b"\x00", b"\xff\xff", b"\x00\xff\x00"])
+    @example(keys=[bytes(range(256)), b"com.gmail@alice", b"com.gmail@al"])
+    def test_window_map_equals_bisect(self, scheme, training, keys):
+        hope = _hope(scheme, training)
+        d = hope.dictionary
+        assert d.max_boundary_len <= 4 and d.windows is not None
+        d.windows.clear()
+        want = [_reference_bits(d, k) for k in keys]
+        for _ in range(2):  # a cold map, then the same keys over the warm map
+            assert [hope.encoder.encode_bits(k) for k in keys] == want
+            assert [hope.encode(k) for k in keys] == [(bits_to_bytes(a, n), n) for a, n in want]
+        assert len(d.windows) <= sum(map(len, keys))
+        run = sorted(keys)
+        assert hope.encoder.encode_batch(run) == [hope.encode(k) for k in run]
+
+    @pytest.mark.parametrize("scheme", ["alm", "alm-improved"])
+    def test_alm_keeps_plain_bisect(self, scheme):
+        hope = _hope(scheme, "text")
+        assert hope.dictionary.max_boundary_len > 4
+        assert hope.dictionary.windows is None
+        assert hope.dictionary.window_map_size() == (0, 0)
+
+    @pytest.mark.parametrize("scheme", ["3grams", "4grams", "alm", "alm-improved"])
+    def test_instance_lookup_is_called_per_symbol(self, scheme):
+        """A counter on the instance sees one call per symbol, as
+        ``perfbench/measure.lookups_per_key`` relies on; the map is bypassed."""
+        hope = _hope(scheme, "nul")
+        d = hope.dictionary
+        keys = _EDGE_KEYS + _NUL_RICH + SAMPLES[:4]
+        want = [hope.encode(k) for k in keys]
+        if d.windows is not None:
+            d.windows.clear()
+        calls = 0
+
+        def counting(src, pos):
+            nonlocal calls
+            calls += 1
+            return type(d).lookup(d, src, pos)
+
+        d.lookup = counting
+        try:
+            for k, w in zip(keys, want):
+                before = calls
+                assert hope.encode(k) == w
+                assert hope.encoder.encode_bits(k)[1] == w[1]
+                assert calls - before == 2 * _reference_steps(d, k)[2]
+        finally:
+            del d.lookup
+        assert not d.windows

@@ -106,6 +106,41 @@ class TestOracleEquivalence:
 
 
 @pytest.fixture(scope="module")
+def with_nulls_df(spark, email_df):
+    """The email keys with null keys mixed in across the partitions."""
+    nulls = spark.createDataFrame(pd.DataFrame({"key": [None] * 40}), "key string")
+    return email_df.unionByName(nulls).repartition(5).cache()
+
+
+class TestNullKeys:
+    """A null key passes through as null ``enc_key``/``enc_nbits``."""
+
+    def test_nulls_pass_through(self, with_nulls_df, hope_3grams):
+        enc = encode_df(with_nulls_df, "key", hope_3grams)
+        got = (
+            enc.select(
+                F.col("key").isNull().alias("k"),
+                F.col("enc_key").isNull().alias("e"),
+                F.col("enc_nbits").isNull().alias("b"),
+            )
+            .groupBy("k", "e", "b")
+            .agg(F.count("*").alias("n"))
+        )
+        assert_equivalent(
+            got,
+            "SELECT key IS NULL AS k, key IS NULL AS e, key IS NULL AS b, count(*) AS n "
+            "FROM t GROUP BY key IS NULL",
+            t=with_nulls_df,
+        )
+        assert check_order_preserved(enc, "key") == 0
+
+    def test_range_filter_equals_duckdb(self, with_nulls_df, hope_3grams):
+        enc = encode_df(with_nulls_df, "key", hope_3grams)
+        got = encoded_range_filter(enc, hope_3grams, b"com.a", b"com.z").select("key")
+        assert_equivalent(got, "SELECT key FROM t WHERE key >= 'com.a' AND key < 'com.z'", t=with_nulls_df)
+
+
+@pytest.fixture(scope="module")
 def domains_df(spark):
     """Email keys plus their domain: a low-cardinality string column."""
     df = dataset_df(spark, "email", 1000, seed=31)
