@@ -24,7 +24,7 @@ from _common import get_spark, print_table, write_records
 
 from repro.core.hope import build_hope
 from repro.core.spark_select import gram_freqs, suffix_freqs
-from repro.workloads.datasets import dataset_df
+from repro.workloads.datasets import dataset_df, keys_df
 
 DICT_SIZES = {
     "single": [256],
@@ -43,16 +43,12 @@ def main(n_keys: int = 30_000) -> None:
     for ds in ("email", "wiki", "url"):
         n = n_keys if ds != "url" else n_keys // 3
         df = dataset_df(spark, ds, n, seed=8).repartition(8).cache()
-        keys = [r["key"].encode("latin-1") for r in df.collect()]
+        keys = [bytes(r["key"]) for r in df.collect()]
         # 1% of the paper's 25M-key corpora is 250K samples; at repro
         # scale a bare 1% undersupplies distinct grams, so floor the
         # sample at 4000 keys (within the paper's 10K-100K guideline).
         sample = keys[: max(4000, n // 100)]
-        import pandas as pd
-
-        sample_df = spark.createDataFrame(
-            pd.DataFrame({"key": [k.decode("latin-1") for k in sample]})
-        ).repartition(8)
+        sample_df = keys_df(spark, sample).repartition(8)
         eval_keys = keys[: 10_000]
         nchars = sum(map(len, eval_keys))
         for scheme, sizes in DICT_SIZES.items():

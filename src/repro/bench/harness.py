@@ -181,14 +181,11 @@ def run_tree_bench_spark(
     skeys = sorted(keys)
     chunk = (len(skeys) + n_partitions - 1) // n_partitions
     parts = [skeys[i : i + chunk] for i in range(0, len(skeys), chunk)]
-    rdd = spark.sparkContext.parallelize(
-        [(i, [k.decode("latin-1") for k in p]) for i, p in enumerate(parts)],
-        len(parts),
-    )
+    rdd = spark.sparkContext.parallelize(list(enumerate(parts)), len(parts))
 
     def run_part(item):
-        pid, str_keys = item
-        res = run_tree_bench(tree_name, config, [s.encode("latin-1") for s in str_keys], **kw)
+        pid, part_keys = item
+        res = run_tree_bench(tree_name, config, part_keys, **kw)
         return (
             pid,
             int(res["n_keys"]),

@@ -17,7 +17,7 @@ and scale by count: tests use ~2-10 k keys, benchmarks ~50-200 k.
 """
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 import pandas as pd
@@ -150,12 +150,14 @@ def dataset_keys(name: str, n: int, seed: int = 0) -> List[bytes]:
     raise ValueError(f"unknown dataset {name!r}; expected one of {DATASETS}")
 
 
+def keys_df(spark: SparkSession, keys: Sequence[bytes]) -> DataFrame:
+    """``keys`` as a one-column Spark DataFrame (``key`` binary), in order."""
+    return spark.createDataFrame(pd.DataFrame({"key": list(keys)}), "key binary")
+
+
 def dataset_df(spark: SparkSession, name: str, n: int, seed: int = 0) -> DataFrame:
-    """The dataset as a one-column Spark DataFrame (``key`` string)."""
-    keys = dataset_keys(name, n, seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"key": [k.decode("latin-1") for k in keys]})
-    )
+    """The dataset as a one-column Spark DataFrame (``key`` binary)."""
+    return keys_df(spark, dataset_keys(name, n, seed))
 
 
 def email_split_ab(n: int, seed: int = 0):

@@ -38,7 +38,7 @@ class TestEncodeDf:
 
     def test_matches_driver_side_encoding(self, encoded, hope_3grams):
         for r in encoded.limit(50).collect():
-            payload, nbits = hope_3grams.encode(r["key"].encode("latin-1"))
+            payload, nbits = hope_3grams.encode(bytes(r["key"]))
             assert bytes(r["enc_key"]) == payload
             assert r["enc_nbits"] == nbits
 
@@ -108,7 +108,7 @@ class TestOracleEquivalence:
 @pytest.fixture(scope="module")
 def with_nulls_df(spark, email_df):
     """The email keys with null keys mixed in across the partitions."""
-    nulls = spark.createDataFrame(pd.DataFrame({"key": [None] * 40}), "key string")
+    nulls = spark.createDataFrame(pd.DataFrame({"key": [None] * 40}), "key binary")
     return email_df.unionByName(nulls).repartition(5).cache()
 
 
@@ -138,6 +138,82 @@ class TestNullKeys:
         enc = encode_df(with_nulls_df, "key", hope_3grams)
         got = encoded_range_filter(enc, hope_3grams, b"com.a", b"com.z").select("key")
         assert_equivalent(got, "SELECT key FROM t WHERE key >= 'com.a' AND key < 'com.z'", t=with_nulls_df)
+
+
+class TestOrderCheckFails:
+    """``check_order_preserved`` counts planted faults, not only 0."""
+
+    @pytest.fixture(scope="class")
+    def ranked(self, encoded):
+        return encoded.select("key", "enc_key").orderBy("key").collect()
+
+    @staticmethod
+    def _with_enc_keys(encoded, planted):
+        enc_key = F.col("enc_key")
+        for key, enc in planted.items():
+            enc_key = F.when(F.col("key") == F.lit(bytes(key)), F.lit(bytes(enc))).otherwise(enc_key)
+        return encoded.withColumn("enc_key", enc_key)
+
+    def test_swap_is_counted(self, encoded, ranked):
+        a, b = ranked[10], ranked[20]
+        swapped = self._with_enc_keys(encoded, {a.key: b.enc_key, b.key: a.enc_key})
+        # ranks 11 and 10 each follow a greater key in enc_key order
+        assert check_order_preserved(swapped, "key") == 2
+
+    def test_collision_is_counted(self, encoded, ranked):
+        a, b = ranked[10], ranked[20]
+        collided = self._with_enc_keys(encoded, {b.key: a.enc_key})
+        # rank 20 shares rank 10's enc_key; rank 11 then follows rank 20
+        assert check_order_preserved(collided, "key") == 2
+
+
+def _sql_lit(v) -> str:
+    if isinstance(v, bytes):
+        return "'" + "".join(f"\\x{c:02X}" for c in v) + "'::BLOB"
+    return f"'{v}'"
+
+
+NON_TEXT_RANGES = {
+    "binary": [(b"", b"\x00\x01"), (b"\x00\xff", b"\x7f\x80"), (b"a", b"\xff\xff"), (b"\xff", b"\xff\xff\xff")],
+    "utf8": [("", "é"), ("a.", "日本"), ("Ω", "😀"), ("日本", "日本語")],
+}
+
+
+@pytest.fixture(scope="module", params=["single", "double", "3grams", "alm-improved"])
+def non_text_encoded(request, non_text):
+    kind, df, _ = non_text
+    hope = build_hope(request.param, sample_keys(df, "key", 0.5, seed=3), max_dict_entries=1024)
+    return kind, df, hope, encode_df(df, "key", hope).cache()
+
+
+class TestNonTextKeys:
+    """Binary NUL/0xFF keys, the empty key, strings above U+00FF and nulls:
+    rows match local encoding, order holds and the DuckDB oracle agrees."""
+
+    def test_rows_equal_local_encode(self, non_text, non_text_encoded):
+        keys = non_text[2]
+        _, _, hope, enc = non_text_encoded
+        rows = enc.collect()
+        got = sorted(
+            (k.encode() if isinstance(k, str) else bytes(k), bytes(e), n)
+            for k, e, n in rows
+            if k is not None
+        )
+        assert got == sorted((k, *hope.encode(k)) for k in keys)
+        nulls = [(e, n) for k, e, n in rows if k is None]
+        assert nulls and set(nulls) == {(None, None)}
+
+    def test_order_preserved(self, non_text_encoded):
+        assert check_order_preserved(non_text_encoded[3], "key") == 0
+
+    def test_range_filter_equals_duckdb(self, non_text_encoded):
+        kind, df, hope, enc = non_text_encoded
+        for lo, hi in NON_TEXT_RANGES[kind]:
+            lo_b, hi_b = (lo, hi) if kind == "binary" else (lo.encode(), hi.encode())
+            got = encoded_range_filter(enc, hope, lo_b, hi_b).select("key")
+            assert_equivalent(
+                got, f"SELECT key FROM t WHERE key >= {_sql_lit(lo)} AND key < {_sql_lit(hi)}", t=df
+            )
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.spark_select import gram_freqs, sample_keys, substring_freqs, suffix_freqs
 from repro.core.symbol_select import count_grams, count_substrings, count_suffixes
-from repro.workloads.datasets import dataset_df
+from repro.workloads.datasets import dataset_df, keys_df
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +14,7 @@ def email_df(spark):
 
 @pytest.fixture(scope="module")
 def email_bytes(email_df):
-    return [r["key"].encode("latin-1") for r in email_df.collect()]
+    return [bytes(r["key"]) for r in email_df.collect()]
 
 
 class TestDistributedCounting:
@@ -37,6 +37,30 @@ class TestDistributedCounting:
 
         df = spark.createDataFrame(pd.DataFrame({"key": ["ab", "x"]}))
         assert gram_freqs(df, "key", 3) == {}
+
+
+class TestDistributedCountingOverBytes:
+    """The same counts over a binary NUL/0xFF column and a non-ASCII
+    string column (tests/conftest.py): Spark counts bytes, UTF-8 for strings."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_gram_freqs_match_local(self, non_text, k):
+        _, df, keys = non_text
+        assert gram_freqs(df, "key", k) == count_grams(keys, k)
+
+    def test_suffix_freqs_match_local(self, non_text):
+        _, df, keys = non_text
+        assert suffix_freqs(df, "key", 64) == count_suffixes(keys, 64)
+
+    def test_substring_freqs_match_local(self, non_text):
+        _, df, keys = non_text
+        assert substring_freqs(df, "key", 8) == count_substrings(keys, 8)
+
+    def test_sample_keys_are_bytes(self, non_text):
+        _, df, keys = non_text
+        s = sample_keys(df, "key", fraction=0.5, seed=3)
+        assert s and all(type(k) is bytes for k in s)
+        assert set(s) <= set(keys)
 
 
 class TestSampling:
@@ -68,13 +92,7 @@ class TestSparkFedBuild:
         sample = email_bytes[:300]
         local = build_hope(scheme, sample, max_dict_entries=2048)
         # distributed frequencies over the same 300 keys
-        sub = email_df.limit(0)  # placeholder replaced below
-        import pandas as pd
-
-        sdf = email_df.sparkSession.createDataFrame(
-            pd.DataFrame({"key": [b.decode("latin-1") for b in sample]})
-        )
-        spark_counter = gram_freqs(sdf, "key", k)
+        spark_counter = gram_freqs(keys_df(email_df.sparkSession, sample), "key", k)
         dist = build_hope(scheme, sample, max_dict_entries=2048, freqs=spark_counter)
         assert [iv.lo for iv in local.intervals] == [iv.lo for iv in dist.intervals]
         assert [(iv.code, iv.nbits) for iv in local.intervals] == [
