@@ -30,7 +30,8 @@ from ..trees.hot import HOT
 from ..trees.surf import SuRF
 from ..workloads.ycsb import surf_range_queries, workload_c, workload_e
 
-TREES = ("surf", "art", "hot", "btree", "prefixbtree")
+_TREE_CLASSES = {"surf": SuRF, "art": ART, "hot": HOT, "btree": BPlusTree, "prefixbtree": PrefixBPlusTree}
+TREES = tuple(_TREE_CLASSES)
 CONFIGS: Dict[str, Optional[Dict[str, Any]]] = {
     # the 7 configurations of §7: uncompressed + six HOPE settings
     "uncompressed": None,
@@ -43,18 +44,10 @@ CONFIGS: Dict[str, Optional[Dict[str, Any]]] = {
 }
 
 
-def make_tree(name: str, suffix_bits: int = 8):
-    if name == "surf":
-        return SuRF(suffix_bits=suffix_bits)
-    if name == "art":
-        return ART()
-    if name == "hot":
-        return HOT()
-    if name == "btree":
-        return BPlusTree()
-    if name == "prefixbtree":
-        return PrefixBPlusTree()
-    raise ValueError(f"unknown tree {name!r}; expected one of {TREES}")
+def make_tree(name: str):
+    if name not in _TREE_CLASSES:
+        raise ValueError(f"unknown tree {name!r}; expected one of {TREES}")
+    return _TREE_CLASSES[name]()
 
 
 def run_tree_bench(
@@ -63,29 +56,21 @@ def run_tree_bench(
     keys: Sequence[bytes],
     *,
     n_queries: int = 2000,
-    sample_frac: float = 0.01,
-    insert_frac: float = 0.05,
-    suffix_bits: int = 8,
     seed: int = 0,
-    max_dict_entries_override: Optional[int] = None,
 ) -> Dict[str, Any]:
     """One experiment cell. ``keys`` must be unique; order arbitrary."""
     cfg = CONFIGS[config]
     keys = list(keys)
-    n_hold = max(1, int(len(keys) * insert_frac))
+    n_hold = max(1, int(len(keys) * 0.05))  # held back for the insert stream
     load_keys, insert_keys = keys[:-n_hold], keys[-n_hold:]
 
     hope: Optional[HopeEncoder] = None
     t_build = 0.0
     if cfg is not None:
-        n_sample = max(10, int(len(load_keys) * sample_frac))
+        n_sample = max(10, int(len(load_keys) * 0.01))
         sample = load_keys[:n_sample]
         t0 = time.perf_counter()
-        hope = build_hope(
-            cfg["scheme"],
-            sample,
-            max_dict_entries=max_dict_entries_override or cfg.get("dict", 1 << 16),
-        )
+        hope = build_hope(cfg["scheme"], sample, max_dict_entries=cfg.get("dict", 1 << 16))
         t_build = time.perf_counter() - t0
 
     enc = hope.encoder.encode if hope else None
@@ -98,7 +83,7 @@ def run_tree_bench(
     sorted_keys = sorted(tree_load)
     assert all(a < b for a, b in zip(sorted_keys, sorted_keys[1:])), "encoded keys collide"
 
-    tree = make_tree(tree_name, suffix_bits=suffix_bits)
+    tree = make_tree(tree_name)
     t0 = time.perf_counter()
     tree.build(sorted_keys, list(range(len(sorted_keys))))
     t_load = time.perf_counter() - t0

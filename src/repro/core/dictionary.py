@@ -172,7 +172,6 @@ class ArrayDict(BaseDict):
         self.max_boundary_len: int = width
         self.codes: List[int] = [c for c, _ in codes]
         self.nbits: List[int] = [n for _, n in codes]
-        self.symlen: List[int] = [1] * 256 if width == 1 else ([1] + [2] * 256) * 256
         self._derive()
 
     @staticmethod
@@ -209,11 +208,12 @@ class ArrayDict(BaseDict):
 
     def lookup(self, src: bytes, pos: int) -> Lookup:
         if self.width == 1:
-            i = src[pos]
-        else:
-            b1 = src[pos]
-            i = b1 * 257 + 1 + src[pos + 1] if pos + 1 < len(src) else b1 * 257
-        return (self.codes[i], self.nbits[i], self.symlen[i])
+            i, n = src[pos], 1
+        elif pos + 1 < len(src):
+            i, n = src[pos] * 257 + 1 + src[pos + 1], 2
+        else:  # a width-2 key's last odd byte
+            i, n = src[pos] * 257, 1
+        return (self.codes[i], self.nbits[i], n)
 
     def code_string(self, src: bytes) -> str:
         """The codes of all of ``src``'s symbols, concatenated as a '0'/'1' string."""

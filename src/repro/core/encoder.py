@@ -70,15 +70,6 @@ class Encoder:
         return acc, nbits, pos
 
     # -- single-key ------------------------------------------------------
-    def encode_bits(self, key: bytes) -> Tuple[int, int]:
-        """Encode to (bit accumulator, total bits)."""
-        d = self.dictionary
-        if self._gather and "lookup" not in vars(d):
-            s = d.code_string(key)
-            return int(s or "0", 2), len(s)
-        acc, nbits, _ = self._walk(key, 0, len(key), 0, 0)
-        return acc, nbits
-
     def encode(self, key: bytes) -> EncodedKey:
         d = self.dictionary
         if self._gather and "lookup" not in vars(d):

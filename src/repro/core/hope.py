@@ -92,7 +92,7 @@ class HopeEncoder:
         comp_bytes = 0
         for k in keys:
             orig += len(k)
-            _, nbits = self.encoder.encode_bits(k)
+            nbits = self.encoder.encode(k)[1]
             comp_bits += nbits
             comp_bytes += (nbits + 7) // 8
         if orig == 0:

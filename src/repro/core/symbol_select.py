@@ -11,10 +11,11 @@ left boundaries of a complete string-axis partition:
   axis is seeded with the 256 single-byte boundaries so every gap
   interval keeps a non-empty common prefix (DESIGN.md §5);
 * ``alm`` / ``alm_improved`` — VIFC/VIVC: substrings (all substrings /
-  suffixes only) scored by ``len(s) * freq(s)``; a threshold ``W`` is
-  binary-searched to hit the target dictionary size; a *blending* pass
-  first redistributes each symbol's count to its longest extension so
-  the selected set is prefix-free (Antoshenkov's requirement, §4.2).
+  suffixes only) scored by ``len(s) * freq(s)``; the top
+  ``(max_entries-256)//2`` by that score are kept, as for the grams (the
+  set a threshold ``W`` on the score picks at that size); a *blending*
+  pass first redistributes each symbol's count to its longest extension
+  so the selected set is prefix-free (Antoshenkov's requirement, §4.2).
 
 Frequency counting may be supplied externally (``freqs=``) — the Spark
 path in ``core.spark_select`` computes the same Counter distributively.
@@ -43,6 +44,18 @@ def _with_increments(symbols: Iterable[bytes]) -> List[bytes]:
         boundaries.add(increment(s))
     boundaries.discard(None)
     return sorted(boundaries)
+
+
+def _top_symbols(scored: Iterable[Tuple[bytes, int]], max_entries: int) -> List[bytes]:
+    """Boundaries of the ``(max_entries - 256) // 2`` highest-scored symbols.
+
+    Ties go to the smaller symbol, so the Spark-fed and local paths
+    build byte-identical dictionaries.
+    """
+    if max_entries < 512:
+        raise ValueError("variable-interval schemes need max_entries >= 512")
+    ranked = sorted(scored, key=lambda sv: (-sv[1], sv[0]))
+    return _with_increments(s for s, _ in ranked[: (max_entries - 256) // 2])
 
 
 def select_single_char(samples: Sequence[bytes]) -> List[bytes]:
@@ -81,16 +94,9 @@ def select_grams(
     freqs: Optional[Counter] = None,
 ) -> List[bytes]:
     """VIVC k-Grams boundaries: frequent grams + gap entries + seeds."""
-    if max_entries < 512:
-        raise ValueError("gram schemes need max_entries >= 512")
     if freqs is None:
         freqs = count_grams(samples, k)
-    budget = (max_entries - 256) // 2
-    # deterministic tie-break (count desc, gram asc) so the Spark-fed
-    # and local paths build byte-identical dictionaries
-    ranked = sorted(freqs.items(), key=lambda kv: (-kv[1], kv[0]))
-    top = [g for g, _ in ranked[:budget]]
-    return _with_increments(top)
+    return _top_symbols(freqs.items(), max_entries)
 
 
 def count_substrings(samples: Iterable[bytes], max_len: int = ALM_MAX_SUBSTR) -> Counter:
@@ -137,33 +143,13 @@ def blend(freqs: Counter) -> Counter:
     return result
 
 
-def _alm_pick(freqs: Counter, w: float) -> List[bytes]:
-    return [s for s, f in freqs.items() if len(s) * f >= w]
-
-
 def select_alm(
     samples: Sequence[bytes],
     max_entries: int,
     improved: bool,
     freqs: Optional[Counter] = None,
 ) -> List[bytes]:
-    """ALM / ALM-Improved boundaries via blending + threshold W search."""
-    if max_entries < 512:
-        raise ValueError("ALM schemes need max_entries >= 512")
+    """ALM / ALM-Improved boundaries: blending, then the top ``len(s) * freq(s)``."""
     if freqs is None:
         freqs = count_suffixes(samples) if improved else count_substrings(samples)
-    freqs = blend(freqs)
-    target = (max_entries - 256) // 2
-    # Binary search W (len*freq threshold) for ~target symbols.
-    products = sorted((len(s) * f for s, f in freqs.items()), reverse=True)
-    if not products:
-        return list(_SEEDS)
-    idx = min(target, len(products)) - 1
-    w = products[idx] if idx >= 0 else products[-1]
-    chosen = _alm_pick(freqs, w)
-    # Ties at W can overshoot; trim lowest products first (deterministic
-    # tie-break on the symbol itself).
-    if len(chosen) > target:
-        chosen.sort(key=lambda s: (-(len(s) * freqs[s]), s))
-        chosen = chosen[:target]
-    return _with_increments(chosen)
+    return _top_symbols(((s, len(s) * f) for s, f in blend(freqs).items()), max_entries)

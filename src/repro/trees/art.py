@@ -14,6 +14,13 @@ A byte-wise radix tree with:
   in the record; it is kept on the Python leaf for verification but
   **not counted** in index memory, per the paper's accounting.
 
+Each Python inner node keeps one ``label -> child`` dict: its size picks
+the charged layout, and a scan visits its children in label order, with
+the prefix-key label ``TERM`` (-1) before every byte. Every split, in a
+compressed path or at a leaf, is one step: a new node takes the common
+prefix (``strutil.lcp_len``), and the old child and the new leaf hang
+below it by their next byte, or by ``TERM`` where one of them ends.
+
 Supports point lookup, sorted range scan, and insert. Also exposes
 ``avg_leaf_depth`` (nodes visited per lookup), the trie-height metric
 Figures 10/12 track.
@@ -23,6 +30,7 @@ from __future__ import annotations
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.dictionary import art_node_bytes
+from ..core.strutil import lcp_len
 
 PESSIMISTIC_BYTES = 8
 LEAF_BYTES = 8
@@ -30,31 +38,23 @@ LEAF_BYTES = 8
 #: terminator label for keys that are prefixes of other keys (the
 #: paper's first ART modification adds prefix-key support; classic ART
 #: appends a 0-byte — we use a dedicated out-of-band label instead so
-#: arbitrary binary keys keep their order).
-TERM = 256
+#: arbitrary binary keys keep their order). It is -1, so it sorts
+#: before every byte label.
+TERM = -1
 
 
 class _ArtNode:
-    __slots__ = ("prefix", "children", "labels")
+    """Inner node: its compressed path and one ``label -> child`` dict.
+
+    A label is the next key byte, or ``TERM`` for the key that ends at
+    this node. Scans visit ``sorted(children)``.
+    """
+
+    __slots__ = ("prefix", "children")
 
     def __init__(self, prefix: bytes = b"") -> None:
         self.prefix = prefix  # full compressed path (memory counts min(8, len))
         self.children: dict = {}
-        self.labels: List[int] = []  # sorted labels (TERM sorts first)
-
-    def child(self, label: int):
-        return self.children.get(label)
-
-    def set_child(self, label: int, node: Any) -> None:
-        if label not in self.children:
-            from bisect import insort
-
-            insort(self.labels, label, key=_label_key)
-        self.children[label] = node
-
-
-def _label_key(l: int) -> int:
-    return -1 if l == TERM else l
 
 
 class _ArtLeaf:
@@ -87,51 +87,33 @@ class ART:
         self.root = self._insert(self.root, key, 0, value)
 
     def _insert(self, node: Any, key: bytes, depth: int, value: Any):
+        rest = key[depth:]
         if isinstance(node, _ArtLeaf):
             if node.key == key:
                 node.value = value
                 return node
-            return self._split_leaf(node, key, depth, value)
-        prefix = node.prefix
-        rest = key[depth:]
-        m = min(len(prefix), len(rest))
-        i = 0
-        while i < m and prefix[i] == rest[i]:
-            i += 1
-        if i < len(prefix):
-            # diverges inside the compressed path -> split the node
-            new = _ArtNode(prefix[:i])
-            node.prefix = prefix[i + 1 :]
-            new.set_child(prefix[i], node)
-            if i == len(rest):
-                new.set_child(TERM, _ArtLeaf(key, value))
-            else:
-                new.set_child(rest[i], _ArtLeaf(key, value))
-            self.n_keys += 1
-            return new
-        depth += len(prefix)
-        label = key[depth] if depth < len(key) else TERM
-        child = node.child(label)
-        if child is None:
-            node.set_child(label, _ArtLeaf(key, value))
-            self.n_keys += 1
+            path = node.key[depth:]
         else:
-            node.set_child(label, self._insert(child, key, depth + (0 if label == TERM else 1), value))
-        return node
-
-    def _split_leaf(self, leaf: _ArtLeaf, key: bytes, depth: int, value: Any):
-        a, b = leaf.key[depth:], key[depth:]
-        m = min(len(a), len(b))
-        i = 0
-        while i < m and a[i] == b[i]:
-            i += 1
-        node = _ArtNode(a[:i])
-        la = a[i] if i < len(a) else TERM
-        lb = b[i] if i < len(b) else TERM
-        node.set_child(la, leaf)
-        node.set_child(lb, _ArtLeaf(key, value))
+            path = node.prefix
+        i = lcp_len(path, rest)
+        if isinstance(node, _ArtNode) and i == len(path):
+            depth += i
+            label = key[depth] if depth < len(key) else TERM
+            child = node.children.get(label)
+            if child is None:
+                node.children[label] = _ArtLeaf(key, value)
+                self.n_keys += 1
+            else:
+                node.children[label] = self._insert(child, key, depth + (0 if label == TERM else 1), value)
+            return node
+        # diverges inside the compressed path or at the leaf -> split
+        new = _ArtNode(path[:i])
+        new.children[path[i] if i < len(path) else TERM] = node
+        if isinstance(node, _ArtNode):
+            node.prefix = path[i + 1 :]
+        new.children[rest[i] if i < len(rest) else TERM] = _ArtLeaf(key, value)
         self.n_keys += 1
-        return node
+        return new
 
     # -- queries ---------------------------------------------------------
     def lookup(self, key: bytes) -> Optional[Any]:
@@ -151,7 +133,7 @@ class ART:
             if depth > len(key):
                 return None
             label = key[depth] if depth < len(key) else TERM
-            node = node.child(label)
+            node = node.children.get(label)
             depth += 0 if label == TERM else 1
         return None
 
@@ -161,37 +143,27 @@ class ART:
             if node.key >= key:
                 yield node
             return
-        # compare the search key against this subtree's span coarsely:
-        # descend choosing the first label whose subtree can contain >= key
+        # descend along the key; every subtree under a greater label follows in full
         rest = key[depth:]
         prefix = node.prefix
-        m = min(len(prefix), len(rest))
-        i = 0
-        while i < m and prefix[i] == rest[i]:
-            i += 1
-        if i < m:
-            if prefix[i] > rest[i]:
+        i = lcp_len(prefix, rest)
+        if i < len(prefix):  # all of the subtree is >= key, or all of it is < key
+            if i == len(rest) or prefix[i] > rest[i]:
                 yield from self._iter_all(node)
             return
-        if i == len(rest):  # search key exhausted within/at prefix
-            yield from self._iter_all(node)
-            return
-        depth += len(prefix)
+        depth += i
         label = key[depth] if depth < len(key) else TERM
-        for l in node.labels:
-            if _label_key(l) < _label_key(label):
-                continue
-            child = node.children[l]
+        for l in sorted(node.children):
             if l == label:
-                yield from self._iter_from(child, key, depth + (0 if l == TERM else 1))
-            else:
-                yield from self._iter_all(child)
+                yield from self._iter_from(node.children[l], key, depth + (0 if l == TERM else 1))
+            elif l > label:
+                yield from self._iter_all(node.children[l])
 
     def _iter_all(self, node: Any) -> Iterator[_ArtLeaf]:
         if isinstance(node, _ArtLeaf):
             yield node
             return
-        for l in node.labels:
+        for l in sorted(node.children):
             yield from self._iter_all(node.children[l])
 
     def scan(self, start: bytes, count: int) -> List[Tuple[bytes, Any]]:

@@ -197,12 +197,6 @@ class PrefixBPlusTree(BPlusTree):
     """
 
     @staticmethod
-    def _lcp_of(keys: Sequence[bytes]) -> bytes:
-        if not keys:
-            return b""
-        return lcp(keys[0], keys[-1])
-
-    @staticmethod
     def shortest_separator(left_max: bytes, right_min: bytes) -> bytes:
         """Shortest prefix of ``right_min`` strictly greater than ``left_max``."""
         i = lcp_len(left_max, right_min)
@@ -214,7 +208,7 @@ class PrefixBPlusTree(BPlusTree):
         for n in self._walk_nodes():
             nodes += 1
             if isinstance(n, _Leaf):
-                prefix = self._lcp_of(n.keys)
+                prefix = lcp(n.keys[0], n.keys[-1]) if n.keys else b""
                 key_bytes += len(prefix) + sum(len(k) - len(prefix) for k in n.keys)
             else:
                 for j, sep in enumerate(n.keys):

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
+from ..core.strutil import lcp_len
+
 MAX_COMPOUND_FANOUT = 32
 _COMPOUND_LEVELS = 5  # 2^5 = 32
 HEADER_BYTES = 16
@@ -44,19 +46,13 @@ def key_bit(key: bytes, pos: int) -> int:
 
 def first_diff_bit(a: bytes, b: bytes) -> int:
     """First position where the 9-bit expansions of two distinct keys differ."""
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    if i == n:
+    i = lcp_len(a, b)
+    if i == min(len(a), len(b)):
         if len(a) == len(b):
             raise ValueError("keys are equal")
         return i * 9  # prefix pair: differ at the byte-present marker bit
-    x, y = a[i], b[i]
-    for bit_j in range(1, 9):
-        if ((x >> (8 - bit_j)) & 1) != ((y >> (8 - bit_j)) & 1):
-            return i * 9 + bit_j
-    raise AssertionError("unreachable")
+    # bit j in 1..8 of a byte group is byte bit 8 - j: the highest set bit of the XOR
+    return i * 9 + 9 - (a[i] ^ b[i]).bit_length()
 
 
 class _PLeaf:

@@ -2,8 +2,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.trees.art import ART, PESSIMISTIC_BYTES
+from repro.core.dictionary import art_node_bytes
+from repro.trees.art import ART, LEAF_BYTES, PESSIMISTIC_BYTES
+from repro.workloads.datasets import email_keys
 
 
 def _keys(n, seed=0, minlen=2, maxlen=16, alphabet=(97, 123)):
@@ -167,3 +171,85 @@ class TestAccounting:
         t = ART()
         t.build(shared)
         assert t.avg_leaf_depth() == 2.0  # path compression collapses the prefix
+
+
+def _nul_ff_keys(n, seed):
+    rng = random.Random(seed)
+    out = set()
+    while len(out) < n:
+        out.add(bytes(rng.choices(b"\x00\x00\x01\xfe\xff\xff", k=rng.randrange(0, 12))))
+    return sorted(out)
+
+
+def _trie_model(keys):
+    """(memory_bytes, avg_leaf_depth) of an ART over ``keys``, from an
+    uncompressed trie: ART keeps exactly the trie nodes with two or more
+    branches, a key that ends at the node counting as one branch."""
+    root = {}
+    for k in keys:
+        node = root
+        for b in k:
+            node = node.setdefault(b, {})
+        node[None] = None  # the key ends here
+    memory, depths = LEAF_BYTES * len(keys), []
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        inner = len(node) >= 2
+        if inner:
+            memory += art_node_bytes(len(node))
+        for label, child in node.items():
+            if label is None:
+                depths.append(depth + inner)
+            else:
+                stack.append((child, depth + inner))
+    return memory, sum(depths) / len(depths) if depths else 0.0
+
+
+_KEY = st.one_of(st.binary(max_size=12), st.lists(st.sampled_from(b"\x00\x01\xfe\xff"), max_size=10).map(bytes))
+
+
+class TestReference:
+    """Lookup, scan and accounting against a dict, a sorted list and an
+    uncompressed trie, on arbitrary binary keys."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(keys=st.lists(_KEY, unique=True, max_size=60), probes=st.lists(_KEY, max_size=20))
+    @example(keys=[b"", b"a", b"ab", b"abc", b"b", b"\x00", b"\x00\x00", b"\xff", b"\xff\xff\x00"], probes=[b"aa"])
+    @example(keys=[b"abc", b"ab", b"abd", b"", b"a"], probes=[b"abcd", b"b"])
+    @example(keys=[b"", b"\x00"], probes=[b"\xff"])
+    def test_matches_references(self, keys, probes):
+        half = len(keys) // 2
+        bulk = sorted(keys[:half])
+        t = ART()
+        t.build(bulk, [k + b"!" for k in bulk])
+        for k in keys[half:]:  # the other half arrives by insert, in hypothesis order
+            t.insert(k, k + b"!")
+        ref = sorted(keys)
+        assert len(t) == len(ref)
+        for k in keys + probes:
+            assert t.lookup(k) == (k + b"!" if k in keys else None)
+        between = [k + b"\x00" for k in ref] + [k[:-1] for k in ref]
+        for start in ref + between + probes + [b""]:
+            want = [(k, k + b"!") for k in ref if k >= start][:7]
+            assert t.scan(start, 7) == want
+        assert (t.memory_bytes(), t.avg_leaf_depth()) == _trie_model(ref)
+
+
+class TestPinnedAccounting:
+    """Memory and height of fixed key sets, pinned so that a change to the node or split logic shows."""
+
+    def test_email(self):
+        keys = sorted(set(email_keys(4000, 7)))
+        t = ART()
+        t.build(keys)
+        assert (len(keys), t.memory_bytes(), t.avg_leaf_depth()) == (4000, 168224, 7.6705)
+        assert (t.memory_bytes(), t.avg_leaf_depth()) == _trie_model(keys)
+
+    def test_nul_ff(self):
+        keys = _nul_ff_keys(3000, 9)
+        t = ART()
+        t.build(keys)
+        assert (t.memory_bytes(), t.avg_leaf_depth()) == (130060, 7.298666666666667)
+        assert (t.memory_bytes(), t.avg_leaf_depth()) == _trie_model(keys)
+        assert [k for k, _ in t.scan(b"", len(keys))] == keys

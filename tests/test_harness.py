@@ -29,7 +29,7 @@ class TestSequentialHarness:
         assert r["point_hit_rate"] == 1.0
 
     def test_compressed_cell(self, tree):
-        r = run_tree_bench(tree, "3grams-64K", KEYS, n_queries=200, max_dict_entries_override=2048)
+        r = run_tree_bench(tree, "3grams-64K", KEYS, n_queries=200)
         assert r["cpr"] > 1.2
         assert r["point_hit_rate"] == 1.0
         if tree in ("surf", "art", "hot"):
