@@ -24,6 +24,7 @@ import time
 from typing import Any, Dict, Optional, Sequence
 
 from ..core.hope import HopeEncoder, build_hope
+from ..core.strutil import check_strictly_increasing
 from ..trees.art import ART
 from ..trees.bplustree import BPlusTree, PrefixBPlusTree
 from ..trees.hot import HOT
@@ -81,7 +82,7 @@ def run_tree_bench(
         tree_load, tree_ins = list(load_keys), list(insert_keys)
 
     sorted_keys = sorted(tree_load)
-    assert all(a < b for a, b in zip(sorted_keys, sorted_keys[1:])), "encoded keys collide"
+    check_strictly_increasing(sorted_keys)  # unique keys must encode to distinct bytes
 
     tree = make_tree(tree_name)
     t0 = time.perf_counter()

@@ -38,7 +38,7 @@ from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .intervals import Interval
-from .strutil import Code, distinct_prefixes, lcp_len
+from .strutil import Code, check_strictly_increasing, distinct_prefixes, lcp_len
 
 Lookup = Tuple[int, int, int]  # (code, nbits, symbol_len)
 
@@ -110,9 +110,7 @@ class SortedBoundaryDict(BaseDict):
             raise ValueError("model must be 'bitmap' or 'art'")
         self.model = model
         self.boundaries: List[bytes] = [iv.lo for iv in intervals]
-        for a, b in zip(self.boundaries, self.boundaries[1:]):
-            if not a < b:
-                raise ValueError(f"boundaries not strictly sorted: {a!r} >= {b!r}")
+        check_strictly_increasing(self.boundaries)
         self.values: List[Lookup] = [(iv.code, iv.nbits, len(iv.symbol)) for iv in intervals]
         self.max_boundary_len: int = max(len(b) for b in self.boundaries)
         self._derive()

@@ -8,6 +8,8 @@ axis arithmetic every other module needs:
   symbol (smallest string greater than every extension of the symbol);
 * ``lcp`` / ``lcp_len`` — the longest common prefix of two strings (and
   its length);
+* ``check_strictly_increasing`` — the input check of the tree
+  bulk-loaders and the boundary dictionary (sorted, no duplicates);
 * ``distinct_prefixes`` — the node count of the byte trie over sorted
   strings, which the dictionary memory models and SuRF charge for;
 * ``interval_symbol`` — the max-length common prefix of an interval
@@ -30,7 +32,9 @@ This is property-tested in ``tests/test_strutil.py`` and
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from itertools import islice
+from operator import lt
+from typing import Iterable, Optional, Sequence, Tuple
 
 Code = Tuple[int, int]  # (value, nbits) — value < 2**nbits
 
@@ -54,6 +58,14 @@ def lcp_len(a: bytes, b: bytes) -> int:
     while i < n and a[i] == b[i]:
         i += 1
     return i
+
+
+def check_strictly_increasing(keys: Sequence[bytes]) -> None:
+    """Raise ``ValueError`` unless ``keys`` is sorted with no duplicates."""
+    if all(map(lt, keys, islice(keys, 1, None))):
+        return
+    i = next(i for i in range(1, len(keys)) if not keys[i - 1] < keys[i])
+    raise ValueError(f"not strictly increasing at {i}: {keys[i - 1]!r} >= {keys[i]!r}")
 
 
 def distinct_prefixes(sorted_keys: Iterable[bytes]) -> int:

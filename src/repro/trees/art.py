@@ -15,11 +15,21 @@ A byte-wise radix tree with:
   **not counted** in index memory, per the paper's accounting.
 
 Each Python inner node keeps one ``label -> child`` dict: its size picks
-the charged layout, and a scan visits its children in label order, with
-the prefix-key label ``TERM`` (-1) before every byte. Every split, in a
-compressed path or at a leaf, is one step: a new node takes the common
-prefix (``strutil.lcp_len``), and the old child and the new leaf hang
-below it by their next byte, or by ``TERM`` where one of them ends.
+the charged layout. The dict is kept in label order, the prefix-key
+label ``TERM`` (-1) before every byte, so a scan walks it as it is.
+
+``build`` bulk-loads strictly increasing keys top-down: the node over a
+key range takes the common prefix of the range's first and last key,
+the key that ends there hangs under ``TERM``, and each byte's child
+range ends at a ``bisect``. ``insert`` gives the same tree one key at a
+time: every split, in a compressed path or at a leaf, is one step, in
+which a new node takes the common prefix (``strutil.lcp_len``) and the
+old child and the new leaf hang below it by their next byte, or by
+``TERM`` where one of them ends.
+
+``lookup`` is the hot path: it compares no bytes at a node with an
+empty compressed path (most nodes), only the stored pessimistic bytes
+otherwise, and the full key once, at the leaf.
 
 Supports point lookup, sorted range scan, and insert. Also exposes
 ``avg_leaf_depth`` (nodes visited per lookup), the trie-height metric
@@ -27,10 +37,11 @@ Figures 10/12 track.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.dictionary import art_node_bytes
-from ..core.strutil import lcp_len
+from ..core.strutil import check_strictly_increasing, lcp_len
 
 PESSIMISTIC_BYTES = 8
 LEAF_BYTES = 8
@@ -47,7 +58,10 @@ class _ArtNode:
     """Inner node: its compressed path and one ``label -> child`` dict.
 
     A label is the next key byte, or ``TERM`` for the key that ends at
-    this node. Scans visit ``sorted(children)``.
+    this node. ``children`` is kept in label order (``TERM`` first):
+    ``build`` adds labels in order, a split adds its two labels smaller
+    first, and ``insert`` re-sorts the dict when a new label is not the
+    largest. Scans walk ``children.items()`` as it is.
     """
 
     __slots__ = ("prefix", "children")
@@ -74,10 +88,35 @@ class ART:
 
     # -- build / insert --------------------------------------------------
     def build(self, keys: Sequence[bytes], values: Optional[Sequence[Any]] = None) -> None:
+        """Bulk-load strictly increasing keys, replacing the tree's contents.
+
+        The result is node for node the tree that inserting the keys
+        one by one, in any order, gives.
+        """
+        check_strictly_increasing(keys)
         if values is None:
-            values = list(range(len(keys)))
-        for k, v in zip(keys, values):
-            self.insert(k, v)
+            values = range(len(keys))
+        self.n_keys = len(keys)
+        self.root = self._build(keys, values, 0, len(keys), 0) if keys else None
+
+    def _build(self, keys: Sequence[bytes], values: Sequence[Any], lo: int, hi: int, depth: int):
+        """The subtree over ``keys[lo:hi]``, which share their first ``depth`` bytes."""
+        first = keys[lo]
+        if hi - lo == 1:
+            return _ArtLeaf(first, values[lo])
+        end = depth + lcp_len(first[depth:], keys[hi - 1][depth:])
+        node = _ArtNode(first[depth:end])
+        children = node.children
+        if len(first) == end:  # sorts first: a prefix of every other key in the range
+            children[TERM] = _ArtLeaf(first, values[lo])
+            lo += 1
+        stem = first[:end]
+        while lo < hi:
+            b = keys[lo][end]
+            mid = hi if b == 0xFF else bisect_left(keys, stem + bytes((b + 1,)), lo, hi)
+            children[b] = self._build(keys, values, lo, mid, end + 1)
+            lo = mid
+        return node
 
     def insert(self, key: bytes, value: Any) -> None:
         if self.root is None:
@@ -99,19 +138,28 @@ class ART:
         if isinstance(node, _ArtNode) and i == len(path):
             depth += i
             label = key[depth] if depth < len(key) else TERM
-            child = node.children.get(label)
-            if child is None:
-                node.children[label] = _ArtLeaf(key, value)
-                self.n_keys += 1
-            else:
-                node.children[label] = self._insert(child, key, depth + (0 if label == TERM else 1), value)
+            children = node.children
+            child = children.get(label)
+            if child is not None:
+                children[label] = self._insert(child, key, depth + (0 if label == TERM else 1), value)
+                return node
+            last = next(reversed(children))
+            children[label] = _ArtLeaf(key, value)
+            if label < last:
+                node.children = dict(sorted(children.items()))
+            self.n_keys += 1
             return node
         # diverges inside the compressed path or at the leaf -> split
         new = _ArtNode(path[:i])
-        new.children[path[i] if i < len(path) else TERM] = node
+        old_label = path[i] if i < len(path) else TERM
+        new_label = rest[i] if i < len(rest) else TERM
         if isinstance(node, _ArtNode):
             node.prefix = path[i + 1 :]
-        new.children[rest[i] if i < len(rest) else TERM] = _ArtLeaf(key, value)
+        leaf = _ArtLeaf(key, value)
+        if old_label < new_label:
+            new.children = {old_label: node, new_label: leaf}
+        else:
+            new.children = {new_label: leaf, old_label: node}
         self.n_keys += 1
         return new
 
@@ -119,22 +167,26 @@ class ART:
     def lookup(self, key: bytes) -> Optional[Any]:
         node = self.root
         depth = 0
-        while node is not None:
-            if isinstance(node, _ArtLeaf):
-                # OCPS: skipped prefix bytes are verified here, against
-                # the full key stored with the record.
-                return node.value if node.key == key else None
-            # optimistic skip: compare only the stored pessimistic bytes
-            stored = node.prefix[:PESSIMISTIC_BYTES]
-            seg = key[depth : depth + len(stored)]
-            if seg != stored:
+        n = len(key)
+        while node.__class__ is _ArtNode:
+            prefix = node.prefix
+            if prefix:
+                # optimistic skip: compare only the stored pessimistic bytes
+                # (the slice is the prefix itself when it is that short)
+                if not key.startswith(prefix[:PESSIMISTIC_BYTES], depth):
+                    return None
+                depth += len(prefix)  # skip the rest optimistically
+            if depth < n:
+                node = node.children.get(key[depth])
+                depth += 1
+            elif depth == n:
+                node = node.children.get(TERM)
+            else:
                 return None
-            depth += len(node.prefix)  # skip the rest optimistically
-            if depth > len(key):
-                return None
-            label = key[depth] if depth < len(key) else TERM
-            node = node.children.get(label)
-            depth += 0 if label == TERM else 1
+        # OCPS: skipped prefix bytes are verified here, against the full
+        # key stored with the record.
+        if node is not None and node.key == key:
+            return node.value
         return None
 
     def _iter_from(self, node: Any, key: bytes, depth: int) -> Iterator[_ArtLeaf]:
@@ -153,18 +205,18 @@ class ART:
             return
         depth += i
         label = key[depth] if depth < len(key) else TERM
-        for l in sorted(node.children):
+        for l, child in node.children.items():
             if l == label:
-                yield from self._iter_from(node.children[l], key, depth + (0 if l == TERM else 1))
+                yield from self._iter_from(child, key, depth + (0 if l == TERM else 1))
             elif l > label:
-                yield from self._iter_all(node.children[l])
+                yield from self._iter_all(child)
 
     def _iter_all(self, node: Any) -> Iterator[_ArtLeaf]:
         if isinstance(node, _ArtLeaf):
             yield node
             return
-        for l in sorted(node.children):
-            yield from self._iter_all(node.children[l])
+        for child in node.children.values():
+            yield from self._iter_all(child)
 
     def scan(self, start: bytes, count: int) -> List[Tuple[bytes, Any]]:
         out: List[Tuple[bytes, Any]] = []

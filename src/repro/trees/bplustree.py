@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Any, List, Optional, Sequence, Tuple
 
-from ..core.strutil import lcp, lcp_len
+from ..core.strutil import check_strictly_increasing, lcp, lcp_len
 
 NODE_BYTES = 256
 FANOUT = 16
@@ -59,6 +59,7 @@ class BPlusTree:
     # -- bulk load -------------------------------------------------------
     def build(self, keys: Sequence[bytes], values: Optional[Sequence[Any]] = None) -> None:
         """Bulk-load sorted unique keys at ~87% fill (14/16 slots)."""
+        check_strictly_increasing(keys)
         if values is None:
             values = list(range(len(keys)))
         fill = FANOUT - 2

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.strutil import lcp_len
+from ..core.strutil import check_strictly_increasing, lcp_len
 
 MAX_COMPOUND_FANOUT = 32
 _COMPOUND_LEVELS = 5  # 2^5 = 32
@@ -83,6 +83,7 @@ class HOT:
     # -- build -----------------------------------------------------------
     def build(self, keys: Sequence[bytes], values: Optional[Sequence[Any]] = None) -> None:
         """Bulk-load *sorted unique* keys into a balanced Patricia trie."""
+        check_strictly_increasing(keys)
         if values is None:
             values = list(range(len(keys)))
         self.n_keys = len(keys)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dictionary import art_node_bytes
-from repro.trees.art import ART, LEAF_BYTES, PESSIMISTIC_BYTES
+from repro.trees.art import ART, LEAF_BYTES, PESSIMISTIC_BYTES, TERM, _ArtLeaf
 from repro.workloads.datasets import email_keys
 
 
@@ -253,3 +253,128 @@ class TestPinnedAccounting:
         assert (t.memory_bytes(), t.avg_leaf_depth()) == (130060, 7.298666666666667)
         assert (t.memory_bytes(), t.avg_leaf_depth()) == _trie_model(keys)
         assert [k for k, _ in t.scan(b"", len(keys))] == keys
+
+
+@st.composite
+def _key_sets(draw):
+    """Unique keys in drawn order: arbitrary and NUL/0xFF keys, a prefix
+    chain, and a family sharing a common prefix longer than
+    ``PESSIMISTIC_BYTES``, so that nodes with truncated stored bytes occur."""
+    stem = draw(st.binary(min_size=PESSIMISTIC_BYTES + 2, max_size=3 * PESSIMISTIC_BYTES))
+    keys = draw(st.lists(_KEY, max_size=30))
+    keys += [stem + k for k in draw(st.lists(_KEY, max_size=15))]
+    keys += [stem[:i] for i in draw(st.lists(st.integers(0, len(stem)), max_size=6))]
+    return draw(st.permutations(list(dict.fromkeys(keys))))
+
+
+_LONG = b"0123456789abcdef"  # longer than PESSIMISTIC_BYTES
+_EDGE_KEYS = [b"", b"\x00", b"\x00\x00", b"\xff", b"\xff\xff", b"a", b"ab", b"abc", _LONG, _LONG + b"\x00", _LONG + b"\xff", _LONG + b"x"]
+
+
+def _shape(node):
+    """The subtree as nested tuples: compressed paths, labels in dict order, leaves."""
+    if isinstance(node, _ArtLeaf):
+        return (node.key, node.value)
+    assert list(node.children) == sorted(node.children)  # label order, TERM first
+    return (node.prefix, [(label, _shape(child)) for label, child in node.children.items()])
+
+
+class TestBulkLoad:
+    @settings(max_examples=300, deadline=None)
+    @given(keys=_key_sets())
+    @example(keys=_EDGE_KEYS)
+    @example(keys=_EDGE_KEYS[::-1])
+    def test_equals_insert_built(self, keys):
+        ref = sorted(keys)
+        bulk = ART()
+        bulk.build(ref, [k + b"!" for k in ref])
+        grown = ART()
+        for k in keys:
+            grown.insert(k, k + b"!")
+        assert len(bulk) == len(grown) == len(keys)
+        if keys:
+            assert _shape(bulk.root) == _shape(grown.root)
+        else:
+            assert bulk.root is grown.root is None
+        assert [k for k, _ in bulk.scan(b"", len(keys) + 1)] == ref
+
+    def test_build_replaces_contents(self):
+        t = ART()
+        t.build([b"a", b"b"])
+        t.build([b"c"], ["x"])
+        assert (len(t), t.lookup(b"a"), t.lookup(b"c")) == (1, None, "x")
+        t.build([])
+        assert (len(t), t.root, t.scan(b"", 5)) == (0, None, [])
+
+    @pytest.mark.parametrize("keys", [[b"b", b"a"], [b"a", b"b", b"b"], [b"ab", b"a"]], ids=["unsorted", "duplicate", "prefix-after"])
+    def test_rejects_not_strictly_increasing(self, keys):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ART().build(keys)
+
+
+def _reference_lookup(tree, key):
+    """The plain lookup loop, the reference for ``ART.lookup``: it slices
+    the stored bytes and the key at every node, and takes the label in
+    one expression."""
+    node = tree.root
+    depth = 0
+    while node is not None:
+        if isinstance(node, _ArtLeaf):
+            return node.value if node.key == key else None
+        stored = node.prefix[:PESSIMISTIC_BYTES]
+        if key[depth : depth + len(stored)] != stored:
+            return None
+        depth += len(node.prefix)
+        if depth > len(key):
+            return None
+        label = key[depth] if depth < len(key) else TERM
+        node = node.children.get(label)
+        depth += 0 if label == TERM else 1
+    return None
+
+
+def _probes(key):
+    """Probes next to ``key``: a byte changed at every position, every
+    proper prefix, and two extensions past its end."""
+    out = [key[:i] for i in range(len(key))] + [key + b"\x00", key + b"\xff"]
+    out += [key[:i] + bytes([key[i] ^ 1]) + key[i + 1 :] for i in range(len(key))]
+    return out
+
+
+class TestLookupFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(keys=_key_sets())
+    @example(keys=_EDGE_KEYS)
+    def test_matches_reference_loop(self, keys):
+        t = ART()
+        t.build(sorted(keys), [k + b"!" for k in sorted(keys)])
+        for k in keys:
+            assert t.lookup(k) == _reference_lookup(t, k) == k + b"!"
+            for probe in _probes(k):
+                want = probe + b"!" if probe in keys else None
+                assert t.lookup(probe) == _reference_lookup(t, probe) == want
+
+    def test_rejected_before_the_leaf(self):
+        """Misses that a compressed path rules out are rejected at its node,
+        with no leaf key compared: a probe that differs inside the stored
+        bytes, and one that ends inside the path."""
+        compares = []
+
+        class CountingKey(bytes):
+            def __eq__(self, other):
+                compares.append(other)
+                return bytes.__eq__(self, other)
+
+            __hash__ = bytes.__hash__
+
+        for stem in (b"xyz", _LONG):  # all of the path stored / its first PESSIMISTIC_BYTES
+            t = ART()
+            t.build([CountingKey(stem), CountingKey(stem + b"a"), CountingKey(stem + b"b")])
+            assert t.root.prefix == stem
+            for i in range(min(len(stem), PESSIMISTIC_BYTES)):
+                assert t.lookup(stem[:i] + b"#" + stem[i + 1 :] + b"a") is None
+            assert t.lookup(stem[:-1]) is None
+            assert compares == []
+            assert t.lookup(stem + b"a") == 1
+            assert compares == [stem + b"a"]
+            compares.clear()

@@ -114,6 +114,14 @@ class TestInsert:
             assert t.lookup(keys[i]) == i
 
 
+class TestBulkLoadInput:
+    @pytest.mark.parametrize("cls", [BPlusTree, PrefixBPlusTree])
+    @pytest.mark.parametrize("keys", [[b"b", b"a"], [b"a", b"b", b"b"], [b"ab", b"a"]], ids=["unsorted", "duplicate", "prefix-after"])
+    def test_rejects_not_strictly_increasing(self, cls, keys):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            cls().build(keys)
+
+
 class TestMemory:
     def test_node_budget(self, loaded):
         t, keys = loaded

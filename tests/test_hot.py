@@ -130,6 +130,13 @@ class TestInsert:
         assert t.lookup(b"k") == 2
 
 
+class TestBulkLoadInput:
+    @pytest.mark.parametrize("keys", [[b"b", b"a"], [b"a", b"b", b"b"], [b"ab", b"a"]], ids=["unsorted", "duplicate", "prefix-after"])
+    def test_rejects_not_strictly_increasing(self, keys):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            HOT().build(keys)
+
+
 class TestCompoundStats:
     def test_height_is_log32ish(self, loaded):
         t, keys = loaded
