@@ -4,7 +4,8 @@ Each job is a ``spark-submit``-able script that prints its figure's
 table as GitHub-flavoured markdown; EXPERIMENTS.md records these
 outputs next to the paper's numbers. A job that keeps structured
 records writes them to ``results/<figure>.jsonl`` (``write_records``)
-and renders its table from them.
+and renders its table from them. The tree figures (10, 12, 16) run
+their cells through ``run_cells``.
 """
 from __future__ import annotations
 
@@ -12,6 +13,9 @@ import json
 import os
 import sys
 from typing import Iterable, Sequence
+
+from repro.bench.harness import run_tree_bench
+from repro.workloads.datasets import dataset_keys
 
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
@@ -31,6 +35,22 @@ def get_spark(app: str):
     )
     s.sparkContext.setLogLevel("ERROR")
     return s
+
+
+def run_cells(spark, figure: str, cells: Sequence[tuple], *, key_seed: int, n_queries: int, seed: int) -> list[dict]:
+    """Run each ``(dataset, n_keys, tree, config)`` cell as one Spark task.
+
+    A task generates its own keys (``dataset_keys(dataset, n_keys,
+    seed=key_seed)``) and runs ``run_tree_bench`` on them. The records
+    come back in cell order: the ``run_tree_bench`` dict plus ``figure``
+    and ``dataset``. ``spark`` is the caller's session; it is left running.
+    """
+    def run(cell):
+        ds, n_keys, tree, config = cell
+        keys = dataset_keys(ds, n_keys, seed=key_seed)
+        return {"figure": figure, "dataset": ds, **run_tree_bench(tree, config, keys, n_queries=n_queries, seed=seed)}
+
+    return spark.sparkContext.parallelize(cells, len(cells)).map(run).collect()
 
 
 def print_table(title: str, cols: Sequence[str], rows: Iterable[Sequence]) -> None:

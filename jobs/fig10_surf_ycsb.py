@@ -7,49 +7,58 @@ Python wall-clock, since Python per-char encode costs dominate
 wall-clock in ways the C++ implementation does not (see
 EXPERIMENTS.md).
 
-Usage: spark-submit jobs/fig10_surf_ycsb.py [n_keys]
+Each (dataset, config) cell is one Spark task (``_common.run_cells``).
+The modeled column is computed after the collect, against the trie
+height of the dataset's uncompressed cell. One record per cell goes to
+``results/fig10.jsonl``; the markdown table printed on stdout is
+rendered from those records.
+
+Usage: spark-submit jobs/fig10_surf_ycsb.py [n_keys] > results/fig10.md
 """
 import sys
 
 import os
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from _common import modeled_latency_reduction, print_table
+from _common import get_spark, modeled_latency_reduction, print_table, run_cells, write_records
 
-from repro.bench.harness import CONFIGS, run_tree_bench
+from repro.bench.harness import CONFIGS
 from repro.workloads.datasets import dataset_keys
+
+KEY_SEED = 10
 
 
 def main(n_keys: int = 30_000) -> None:
-    rows = []
-    for ds in ("email", "wiki", "url"):
-        n = n_keys if ds != "url" else n_keys // 3
-        keys = dataset_keys(ds, n, seed=10)
-        l = sum(map(len, keys)) / len(keys)
-        base_h = None
-        for config in CONFIGS:
-            r = run_tree_bench("surf", config, keys, n_queries=2000, seed=1)
-            if config == "uncompressed":
-                base_h = r["height"]
-            model = modeled_latency_reduction(config, r["cpr"], l, base_h or 1)
-            rows.append(
-                (
-                    ds,
-                    config,
-                    round(r["point_ns"]),
-                    round(r["range_ns"]),
-                    r["tree_memory_bytes"],
-                    r["memory_bytes"],
-                    round(r["height"], 1),
-                    round(r["cpr"], 2),
-                    None if model is None else f"{model * 100:.0f}%",
-                )
-            )
-            print(f"# done {ds}/{config}", file=sys.stderr)
+    nk = {"email": n_keys, "wiki": n_keys, "url": n_keys // 3}
+    cells = [(ds, n, "surf", config) for ds, n in nk.items() for config in CONFIGS]
+    spark = get_spark("fig10")
+    records = run_cells(spark, "fig10", cells, key_seed=KEY_SEED, n_queries=2000, seed=1)
+    spark.stop()
+    base_h = {r["dataset"]: r["height"] for r in records if r["config"] == "uncompressed"}
+    mean_len = {}
+    for ds, n in nk.items():
+        keys = dataset_keys(ds, n, seed=KEY_SEED)
+        mean_len[ds] = sum(map(len, keys)) / len(keys)
+    for r in records:
+        r["modeled_delta"] = modeled_latency_reduction(r["config"], r["cpr"], mean_len[r["dataset"]], base_h[r["dataset"]])
+    print(f"# wrote {write_records('fig10', records)}", file=sys.stderr)
     print_table(
         "Figure 10 — SuRF YCSB (Zipf)",
         ["dataset", "config", "point ns (py)", "range ns (py)", "tree B", "tree+dict B", "trie height", "CPR", "modeled Δlatency (paper consts)"],
-        rows,
+        [
+            (
+                r["dataset"],
+                r["config"],
+                round(r["point_ns"]),
+                round(r["range_ns"]),
+                r["tree_memory_bytes"],
+                r["memory_bytes"],
+                round(r["height"], 1),
+                round(r["cpr"], 2),
+                None if r["modeled_delta"] is None else f"{r['modeled_delta'] * 100:.0f}%",
+            )
+            for r in records
+        ],
     )
 
 

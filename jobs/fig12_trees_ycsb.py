@@ -2,60 +2,50 @@
 
 Seven configurations x three datasets x four indexes: point latency
 (Python wall-clock), memory (tree + dictionary), trie height where
-applicable, CPR. Runs partition-parallel in Spark: each (tree, config,
-dataset) cell is a task building its own in-memory tree.
+applicable, CPR. Each (dataset, tree, config) cell is one Spark task
+building its own in-memory tree (``_common.run_cells``). One record per
+cell goes to ``results/fig12.jsonl``; the markdown table printed on
+stdout is rendered from those records.
 
-Usage: spark-submit jobs/fig12_trees_ycsb.py [n_keys]
+Usage: spark-submit jobs/fig12_trees_ycsb.py [n_keys] > results/fig12.md
 """
 import sys
 
 import os
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from _common import get_spark, print_table
+from _common import get_spark, print_table, run_cells, write_records
 
-from repro.bench.harness import CONFIGS, run_tree_bench
-from repro.workloads.datasets import dataset_keys
+from repro.bench import harness
+from repro.bench.harness import CONFIGS
 
-TREES = ("art", "hot", "btree", "prefixbtree")
+TREES = tuple(t for t in harness.TREES if t != "surf")
 
 
 def main(n_keys: int = 30_000) -> None:
-    spark = get_spark("fig12")
-    cells = []
-    for ds in ("email", "wiki", "url"):
-        for tree in TREES:
-            for config in CONFIGS:
-                cells.append((ds, tree, config))
-
     nk = {"email": n_keys, "wiki": n_keys, "url": n_keys // 3}
-
-    def run_cell(cell):
-        ds, tree, config = cell
-        keys = dataset_keys(ds, nk[ds], seed=12)
-        r = run_tree_bench(tree, config, keys, n_queries=1500, seed=2)
-        return (
-            ds,
-            tree,
-            config,
-            round(r["point_ns"]),
-            int(r["tree_memory_bytes"]),
-            int(r["memory_bytes"]),
-            round(r["height"], 1) if r["height"] is not None else None,
-            round(r["cpr"], 2),
-        )
-
-    rows = (
-        spark.sparkContext.parallelize(cells, len(cells))
-        .map(run_cell)
-        .collect()
-    )
+    cells = [(ds, n, tree, config) for ds, n in nk.items() for tree in TREES for config in CONFIGS]
+    spark = get_spark("fig12")
+    records = run_cells(spark, "fig12", cells, key_seed=12, n_queries=1500, seed=2)
+    spark.stop()
+    print(f"# wrote {write_records('fig12', records)}", file=sys.stderr)
     print_table(
         "Figure 12 — YCSB point queries (Zipf)",
         ["dataset", "tree", "config", "point ns (py)", "tree B", "tree+dict B", "height", "CPR"],
-        rows,
+        [
+            (
+                r["dataset"],
+                r["tree"],
+                r["config"],
+                round(r["point_ns"]),
+                r["tree_memory_bytes"],
+                r["memory_bytes"],
+                None if r["height"] is None else round(r["height"], 1),
+                round(r["cpr"], 2),
+            )
+            for r in records
+        ],
     )
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from _common import get_spark, print_table, write_records
 
 from repro.core.hope import build_hope
 from repro.core.spark_select import gram_freqs, suffix_freqs
-from repro.workloads.datasets import dataset_df, keys_df
+from repro.workloads.datasets import dataset_keys, keys_df
 
 DICT_SIZES = {
     "single": [256],
@@ -42,8 +42,7 @@ def main(n_keys: int = 30_000) -> None:
     records = []
     for ds in ("email", "wiki", "url"):
         n = n_keys if ds != "url" else n_keys // 3
-        df = dataset_df(spark, ds, n, seed=8).repartition(8).cache()
-        keys = [bytes(r["key"]) for r in df.collect()]
+        keys = dataset_keys(ds, n, seed=8)  # generation order, independent of the core count
         # 1% of the paper's 25M-key corpora is 250K samples; at repro
         # scale a bare 1% undersupplies distinct grams, so floor the
         # sample at 4000 keys (within the paper's 10K-100K guideline).

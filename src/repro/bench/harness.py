@@ -6,12 +6,9 @@ on a 1 % sample, encode the load keys, bulk-load the search tree on the
 streams, measuring per-query latency **including the query-key encoding
 overhead** — that inclusion is the paper's central trade-off. Memory is
 the tree's analytic footprint plus the HOPE dictionary (the paper
-reports "HOPE size included").
-
-``run_tree_bench_spark`` runs the same harness partition-parallel: the
-key space is range-partitioned, each Spark partition builds and drives
-its own in-memory tree (one tree per partition, per the banding hint),
-and per-partition metrics come back as a DataFrame.
+reports "HOPE size included"). A YCSB-E scan is a start key plus a
+count, so only its start key is encoded; SuRF's closed ranges encode
+both bounds with ``encode_pair``.
 
 Encoded tree keys are the zero-padded code bytes alone: HOPE's padded
 codes are injective and order-preserving (proof in ``core.strutil``),
@@ -59,7 +56,7 @@ def run_tree_bench(
     n_queries: int = 2000,
     seed: int = 0,
 ) -> Dict[str, Any]:
-    """One experiment cell. ``keys`` must be unique; order arbitrary."""
+    """One experiment cell. ``keys`` must be unique (``ValueError`` otherwise); order arbitrary."""
     cfg = CONFIGS[config]
     keys = list(keys)
     n_hold = max(1, int(len(keys) * 0.05))  # held back for the insert stream
@@ -81,8 +78,9 @@ def run_tree_bench(
     else:
         tree_load, tree_ins = list(load_keys), list(insert_keys)
 
+    # unique keys must encode to distinct bytes, held-out insert keys included
+    check_strictly_increasing(sorted(tree_load + tree_ins))
     sorted_keys = sorted(tree_load)
-    check_strictly_increasing(sorted_keys)  # unique keys must encode to distinct bytes
 
     tree = make_tree(tree_name)
     t0 = time.perf_counter()
@@ -129,61 +127,18 @@ def run_tree_bench(
         res["range_ns"] = (time.perf_counter() - t0) / len(ranges) * 1e9
         res["insert_ns"] = None  # SuRF is batch-built only
     else:
-        ops = workload_e(load_keys, tree_ins, n_queries, seed)
-        t_scan = t_ins = 0.0
-        n_scan = n_ins = 0
-        for op, k, slen in ops:
+        t_op = {"scan": 0.0, "insert": 0.0}
+        n_op = {"scan": 0, "insert": 0}
+        for op, k, slen in workload_e(load_keys, tree_ins, n_queries, seed):
+            t0 = time.perf_counter()
+            tq = enc(k)[0] if enc else k
             if op == "scan":
-                t0 = time.perf_counter()
-                tq = enc(k)[0] if enc else k
                 tree.scan(tq, slen)
-                t_scan += time.perf_counter() - t0
-                n_scan += 1
             else:
-                t0 = time.perf_counter()
-                tq = enc(k)[0] if enc else k
                 tree.insert(tq, -1)
-                t_ins += time.perf_counter() - t0
-                n_ins += 1
-        res["range_ns"] = t_scan / max(1, n_scan) * 1e9
-        res["insert_ns"] = t_ins / max(1, n_ins) * 1e9 if n_ins else None
+            t_op[op] += time.perf_counter() - t0
+            n_op[op] += 1
+        res["range_ns"] = t_op["scan"] / max(1, n_op["scan"]) * 1e9
+        res["insert_ns"] = t_op["insert"] / n_op["insert"] * 1e9 if n_op["insert"] else None
     return res
 
-
-def run_tree_bench_spark(
-    spark,
-    tree_name: str,
-    config: str,
-    keys: Sequence[bytes],
-    n_partitions: int = 8,
-    **kw,
-):
-    """Partition-parallel harness: one in-memory tree per Spark partition.
-
-    Keys are range-partitioned (sorted, then chunked) so each partition's
-    tree covers a contiguous key range; returns a DataFrame of the
-    per-partition metric dicts from ``run_tree_bench``.
-    """
-    skeys = sorted(keys)
-    chunk = (len(skeys) + n_partitions - 1) // n_partitions
-    parts = [skeys[i : i + chunk] for i in range(0, len(skeys), chunk)]
-    rdd = spark.sparkContext.parallelize(list(enumerate(parts)), len(parts))
-
-    def run_part(item):
-        pid, part_keys = item
-        res = run_tree_bench(tree_name, config, part_keys, **kw)
-        return (
-            pid,
-            int(res["n_keys"]),
-            float(res["point_ns"]),
-            float(res["range_ns"]) if res["range_ns"] is not None else None,
-            int(res["memory_bytes"]),
-            float(res["height"]) if res["height"] is not None else None,
-            float(res["cpr"]),
-        )
-
-    schema = (
-        "partition int, n_keys int, point_ns double, range_ns double, "
-        "memory_bytes long, height double, cpr double"
-    )
-    return spark.createDataFrame(rdd.map(run_part), schema=schema)

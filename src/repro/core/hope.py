@@ -80,25 +80,17 @@ class HopeEncoder:
     def encode(self, key: bytes) -> EncodedKey:
         return self.encoder.encode(key)
 
-    def compression_rate(self, keys: Sequence[bytes], byte_aligned: bool = False) -> float:
-        """uncompressed bytes / compressed bytes over ``keys``.
-
-        ``byte_aligned=True`` charges each key ceil(nbits/8) — what a
-        byte-oriented tree stores; the default is bit-exact, matching
-        the microbenchmark CPR definition (§6.1).
-        """
+    def compression_rate(self, keys: Sequence[bytes]) -> float:
+        """uncompressed bytes / compressed bytes over ``keys``, counting
+        compressed keys bit-exact, the microbenchmark CPR definition (§6.1)."""
         orig = 0
         comp_bits = 0
-        comp_bytes = 0
         for k in keys:
             orig += len(k)
-            nbits = self.encoder.encode(k)[1]
-            comp_bits += nbits
-            comp_bytes += (nbits + 7) // 8
+            comp_bits += self.encoder.encode(k)[1]
         if orig == 0:
             return 1.0
-        denom = comp_bytes if byte_aligned else comp_bits / 8.0
-        return orig / denom if denom else float("inf")
+        return orig / (comp_bits / 8.0) if comp_bits else float("inf")
 
 
 def _select_boundaries(kind: str, samples: Sequence[bytes], max_entries: int, freqs) -> List[bytes]:

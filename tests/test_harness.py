@@ -1,9 +1,9 @@
-"""Tests for the experiment harness (bench/harness.py) — sequential and
-Spark partition-parallel paths, plus the §7 structural expectations
-(compressed trees are shorter; CPR > 1; memory accounting sane)."""
+"""Tests for the experiment harness (bench/harness.py), plus the §7
+structural expectations (compressed trees are shorter; CPR > 1; memory
+accounting sane)."""
 import pytest
 
-from repro.bench.harness import CONFIGS, TREES, make_tree, run_tree_bench, run_tree_bench_spark
+from repro.bench.harness import CONFIGS, TREES, make_tree, run_tree_bench
 from repro.workloads.datasets import dataset_keys
 
 KEYS = dataset_keys("email", 2500, seed=41)
@@ -49,19 +49,15 @@ class TestConfigTable:
         assert r["insert_ns"] is None  # SuRF is batch-built
 
 
-class TestSparkHarness:
-    def test_partition_parallel(self, spark):
-        df = run_tree_bench_spark(
-            spark, "btree", "single", KEYS[:1200], n_partitions=4, n_queries=60
-        )
-        rows = df.collect()
-        assert len(rows) == 4
-        assert sum(r["n_keys"] for r in rows) <= 1200
-        assert all(r["point_ns"] > 0 for r in rows)
-        assert all(r["cpr"] > 1.0 for r in rows)
-
-    def test_partitions_cover_distinct_ranges(self, spark):
-        df = run_tree_bench_spark(
-            spark, "art", "uncompressed", KEYS[:800], n_partitions=3, n_queries=30
-        )
-        assert df.count() == 3
+@pytest.mark.parametrize("config", ["uncompressed", "single"])
+@pytest.mark.parametrize("tree", TREES)
+@pytest.mark.parametrize(
+    "keys",
+    [[KEYS[0]] + KEYS[:400], KEYS[:400] + [KEYS[0]]],
+    ids=["twice-loaded", "loaded-and-inserted"],
+)
+def test_duplicate_key_raises(tree, config, keys):
+    """No key is dropped silently: a repeated key fails the cell, whether
+    both copies are loaded or one is held back for the insert stream."""
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        run_tree_bench(tree, config, keys, n_queries=20)

@@ -111,10 +111,6 @@ class TestCprOrdering:
         hi, _ = built[("alm-improved", "email")]
         assert hi.compression_rate(keys) > ha.compression_rate(keys)
 
-    def test_byte_aligned_cpr_not_higher(self, built):
-        hope, keys = built[("double", "email")]
-        assert hope.compression_rate(keys, byte_aligned=True) <= hope.compression_rate(keys) + 1e-9
-
 
 class TestBuildMetadata:
     def test_build_times_recorded(self, built):
