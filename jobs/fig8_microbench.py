@@ -57,7 +57,7 @@ def main(n_keys: int = 30_000) -> None:
             elif scheme == "4grams":
                 freqs = gram_freqs(sample_df, "key", 4)
             elif scheme == "alm-improved":
-                freqs = suffix_freqs(sample_df, "key", 64)
+                freqs = suffix_freqs(sample_df, "key")
             for size in sizes:
                 hope = build_hope(scheme, sample, max_dict_entries=size, freqs=freqs)
                 ns_per_char = []

@@ -2,17 +2,16 @@
 
 A HOPE dictionary stores only the *left boundary* of each interval; a
 lookup is a "greatest boundary <= suffix" (predecessor) query returning
-the interval's code and symbol length. Two runtime structures:
+the interval's code and symbol length. Each dictionary also encodes:
+``encode`` a whole key, ``resume`` a key's symbols from a position onto
+a running bit accumulator (batching). ``BaseDict`` supplies both as the
+per-symbol ``lookup`` loop, and each runtime structure overrides them:
 
-* ``ArrayDict``          — Single-Char (256 entries) and Double-Char
-                           (256*257 entries, terminator layout): one
-                           O(1) array probe per symbol. Every symbol has
-                           a fixed width, so ``code_string`` also encodes
-                           a whole key as one C-level table gather;
-* ``SortedBoundaryDict`` — every variable-interval scheme (3/4-Grams,
-                           ALM, ALM-Improved): one C ``bisect`` over
-                           the sorted boundary list, on a window of the
-                           suffix no longer than the longest boundary.
+* ``ArrayDict`` (Single/Double-Char): one O(1) array probe per symbol;
+  symbols have a fixed width, so a run of them is one C-level gather;
+* ``SortedBoundaryDict`` (3/4-Grams, ALM, ALM-Improved): one C ``bisect``
+  over the sorted boundaries, on a window of the suffix no longer than
+  the longest boundary.
 
 3/4-Grams (boundaries of at most ``WINDOW_MAP_MAX_LEN`` bytes) also keep a
 window map, window -> lookup, filled by ``bisect`` on a miss and capped at
@@ -38,9 +37,10 @@ from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .intervals import Interval
-from .strutil import Code, check_strictly_increasing, distinct_prefixes, lcp_len
+from .strutil import Code, bits_to_bytes, check_strictly_increasing, distinct_prefixes, lcp_len
 
 Lookup = Tuple[int, int, int]  # (code, nbits, symbol_len)
+Resumed = Tuple[int, int, int]  # (bit accumulator, nbits, position reached)
 
 # Per-entry value cost shared by all structures: 32-bit code + 8-bit length.
 _VALUE_BYTES = 5
@@ -55,7 +55,7 @@ WINDOW_MAP_CAP = 1 << 18
 class BaseDict:
     """Interface: lookup(src, pos) -> (code, nbits, symbol_len).
 
-    ``windows`` is the encoder's window map, or None. The attributes named
+    ``windows`` is the window map, or None. The attributes named
     in ``_derived`` are rebuilt by ``_derive`` on unpickling, not pickled.
     """
 
@@ -74,6 +74,22 @@ class BaseDict:
 
     def lookup(self, src: bytes, pos: int) -> Lookup:  # pragma: no cover
         raise NotImplementedError
+
+    def encode(self, src: bytes) -> Tuple[bytes, int]:
+        """All of ``src`` as ``(zero-padded code bytes, nbits)``."""
+        acc, nbits, _ = self.resume(src, 0, len(src), 0, 0)
+        return bits_to_bytes(acc, nbits), nbits
+
+    def resume(self, src: bytes, pos: int, stop: int, acc: int, nbits: int) -> Resumed:
+        """Append the codes of ``src``'s symbols starting in ``[pos, stop)``, ``pos``
+        a symbol boundary: the grown ``(acc, nbits)`` and the position reached."""
+        lookup = self.lookup
+        while pos < stop:
+            code, cbits, symlen = lookup(src, pos)
+            acc = (acc << cbits) | code
+            nbits += cbits
+            pos += symlen
+        return acc, nbits, pos
 
     def window_map_size(self) -> Tuple[int, int]:
         """(entries, bytes) of the window map: a Python cache, outside the paper's model."""
@@ -124,6 +140,19 @@ class SortedBoundaryDict(BaseDict):
             raise KeyError(f"no interval contains {src[pos:]!r} (incomplete dictionary)")
         return self.values[i]
 
+    def resume(self, src: bytes, pos: int, stop: int, acc: int, nbits: int) -> Resumed:
+        """``BaseDict.resume`` through the window map, when there is one."""
+        if self.windows is None:
+            return super().resume(src, pos, stop, acc, nbits)
+        get, miss, span = self.windows.get, self.window_miss, self.max_boundary_len
+        while pos < stop:
+            w = src[pos : pos + span]
+            code, cbits, symlen = get(w) or miss(w)
+            acc = (acc << cbits) | code
+            nbits += cbits
+            pos += symlen
+        return acc, nbits, pos
+
     def window_miss(self, window: bytes) -> Lookup:
         """Look ``window`` up by ``bisect`` and store it in the map while under the cap."""
         found = self.lookup(window, 0)
@@ -150,11 +179,11 @@ class ArrayDict(BaseDict):
 
     The layout is fixed, so the dictionary is built from codes alone. A
     key is consumed ``width`` bytes at a time, with a 1-byte tail when a
-    width-2 key has odd length, so ``code_string`` encodes it as a gather
-    from tables of '0'/'1' code strings; ``symbol_hits`` counts a sample's
-    symbols by the same split. The tables are derived from ``codes``/``nbits``:
-    they are rebuilt on unpickling, not pickled. ``lookup`` remains the
-    per-symbol form of the same mapping.
+    width-2 key has odd length, so ``code_string`` gathers a run of symbols'
+    codes from tables of '0'/'1' strings, parsed once by ``encode``/``resume``;
+    ``symbol_hits`` counts a sample's symbols by the same split. The tables
+    are derived from ``codes``/``nbits``: rebuilt on unpickling, not pickled.
+    ``lookup`` remains the per-symbol form of the same mapping.
     """
 
     model = "array"
@@ -213,13 +242,24 @@ class ArrayDict(BaseDict):
             i, n = src[pos] * 257, 1
         return (self.codes[i], self.nbits[i], n)
 
-    def code_string(self, src: bytes) -> str:
-        """The codes of all of ``src``'s symbols, concatenated as a '0'/'1' string."""
+    def code_string(self, src: bytes, pos: int, end: int) -> str:
+        """The codes of the symbols of ``src[pos:end]`` as one '0'/'1' string; at width
+        2, ``pos`` is even and ``end`` even or the key's odd end (its 1-byte tail)."""
         if self.width == 1:
-            return "".join(map(self._heads.__getitem__, src))
-        n = len(src)
-        s = "".join(map(self._heads.__getitem__, memoryview(src)[: n & ~1].cast("H")))
-        return s + self._tails[src[-1]] if n & 1 else s
+            return "".join(map(self._heads.__getitem__, src[pos:end]))
+        s = "".join(map(self._heads.__getitem__, memoryview(src)[pos : end & ~1].cast("H")))
+        return s + self._tails[src[-1]] if end & 1 else s
+
+    def encode(self, src: bytes) -> Tuple[bytes, int]:
+        s = self.code_string(src, 0, len(src))
+        nbits = len(s)
+        return int(s + "0" * (-nbits % 8) or "0", 2).to_bytes((nbits + 7) // 8, "big"), nbits
+
+    def resume(self, src: bytes, pos: int, stop: int, acc: int, nbits: int) -> Resumed:
+        # The symbol starting before ``stop`` may end past it, but not past the key.
+        end = max(pos, min(stop + (stop - pos) % self.width, len(src)))
+        s = self.code_string(src, pos, end)
+        return (acc << len(s)) | int(s or "0", 2), nbits + len(s), end
 
     def memory_bytes(self) -> int:
         return len(self.codes) * _VALUE_BYTES

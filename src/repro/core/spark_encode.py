@@ -31,13 +31,16 @@ from .hope import HopeEncoder
 
 
 def encode_df(df: DataFrame, key_col: str, hope: HopeEncoder) -> DataFrame:
-    """Append ``enc_key``/``enc_nbits`` by encoding ``key_col`` per partition."""
+    """Append ``enc_key``/``enc_nbits`` by encoding ``key_col`` (string or binary) per partition."""
+    key_type = df.schema[key_col].dataType
+    if not isinstance(key_type, (StringType, BinaryType)):
+        raise TypeError(f"key column {key_col!r} is {key_type.simpleString()}, not string or binary")
     schema = StructType(
         list(df.schema.fields)
         + [StructField("enc_key", BinaryType()), StructField("enc_nbits", IntegerType())]
     )
     encoder = hope.encoder  # capture only the encoder (dictionary + loop)
-    text = isinstance(df.schema[key_col].dataType, StringType)
+    text = isinstance(key_type, StringType)
 
     def encode_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         enc = encoder.encode

@@ -23,6 +23,8 @@ from typing import List
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from .symbol_select import ALM_IMPROVED_MAX_SUFFIX, ALM_MAX_SUBSTR
+
 
 def _key_bytes(df: DataFrame, key_col: str) -> DataFrame:
     """``key_col`` alone, as bytes: binary passes as is, strings as UTF-8."""
@@ -52,7 +54,7 @@ def gram_freqs(df: DataFrame, key_col: str, k: int) -> Counter:
     return _freqs_from_expr(df, key_col, expr)
 
 
-def suffix_freqs(df: DataFrame, key_col: str, max_len: int = 64) -> Counter:
+def suffix_freqs(df: DataFrame, key_col: str, max_len: int = ALM_IMPROVED_MAX_SUFFIX) -> Counter:
     """Frequencies of every key suffix, capped at ``max_len`` bytes."""
     expr = (
         f"transform(sequence(1, length({key_col})), "
@@ -61,7 +63,7 @@ def suffix_freqs(df: DataFrame, key_col: str, max_len: int = 64) -> Counter:
     return _freqs_from_expr(df, key_col, expr)
 
 
-def substring_freqs(df: DataFrame, key_col: str, max_len: int = 16) -> Counter:
+def substring_freqs(df: DataFrame, key_col: str, max_len: int = ALM_MAX_SUBSTR) -> Counter:
     """Frequencies of all substrings up to ``max_len`` (original ALM)."""
     expr = (
         f"flatten(transform(sequence(1, length({key_col})), "

@@ -89,21 +89,54 @@ class TestBatchEncoding:
         long-shared-prefix batches (that is the whole optimisation)."""
         hope = build_hope(scheme, SAMPLES, max_dict_entries=2048)
         prefix = b"com.gmail@verylongsharedprefix"
-        acc, nbits, consumed = hope.encoder._encode_prefix_checkpoint(prefix)
+        acc, nbits, consumed = hope.encoder._encode_prefix_checkpoint(hope.dictionary, prefix)
         assert consumed > 0
         maxlen = hope.dictionary.max_boundary_len
         assert len(prefix) - consumed < maxlen + 4
+
+
+def _runs(seed):
+    """Batches of many kinds: sorted, unsorted, with duplicates, NUL/0xFF-rich,
+    and sharing a prefix of every length from 0 to 9, odd ones included
+    (a width-2 checkpoint must stay pair-aligned)."""
+    rng = random.Random(seed)
+
+    def text(n):
+        return bytes(rng.randrange(32, 127) for _ in range(n))
+
+    def nul_ff(n):
+        return bytes(rng.choices(b"\x00\x00\x01\xfe\xff\xff", k=n))
+
+    runs = [sorted({text(rng.randrange(1, 24)) for _ in range(80)})]
+    for make in (text, nul_ff):
+        keys = [make(rng.randrange(0, 24)) for _ in range(40)]
+        runs += [keys, keys + keys[::3], sorted(keys)]
+        for plen in range(10):
+            stem = make(plen)
+            run = [stem + make(rng.randrange(0, 6)) for _ in range(rng.randrange(1, 9))]
+            runs += [run, run + run[:1]]
+    return runs
 
 
 class TestRandomizedRoundtrip:
     @pytest.mark.parametrize("scheme", ["single", "double", "3grams", "4grams", "alm", "alm-improved"])
     def test_batch_random_sorted_runs(self, scheme):
         hope = build_hope(scheme, SAMPLES, max_dict_entries=1024)
-        rng = random.Random(99)
-        keys = sorted(
-            {bytes(rng.randrange(32, 127) for _ in range(rng.randrange(1, 24))) for _ in range(80)}
-        )
-        assert hope.encoder.encode_batch(keys) == [hope.encode(k) for k in keys]
+        for run in _runs(99):
+            assert hope.encoder.encode_batch(run) == [hope.encode(k) for k in run], run
+
+    @pytest.mark.parametrize("scheme", ["single", "double"])
+    def test_fixed_width_batch_takes_the_gather(self, scheme, monkeypatch):
+        """Single/Double-Char batches never fall back to the per-symbol ``lookup``."""
+        hope = _hope(scheme, "nul")
+        runs = _runs(7)
+        want = [[hope.encode(k) for k in run] for run in runs]
+
+        def no_lookup(self, src, pos):
+            raise AssertionError("per-symbol lookup")
+
+        monkeypatch.setattr(ArrayDict, "lookup", no_lookup)
+        assert [hope.encoder.encode_batch(run) for run in runs] == want
 
 
 _NUL_RICH = [bytes(random.Random(i).choices(b"\x00\x00\x00\x01\xfe\xff", k=i % 17)) for i in range(90)]
@@ -129,6 +162,11 @@ def _reference_steps(d, key):
 
 def _reference_bits(d, key):
     return _reference_steps(d, key)[:2]
+
+
+def _batch_of_one(hope):
+    """Encode a key as a batch of one: a checkpoint walk over the whole key, then a resume."""
+    return lambda k: hope.encoder.encode_batch([k])[0]
 
 
 _KEYS = st.one_of(
@@ -177,10 +215,11 @@ class TestFixedWidthGather:
 
         d.lookup = counting
         try:
-            for k, want in zip(keys, gathered):
-                before = calls
-                assert hope.encode(k) == want
-                assert calls - before == -(-len(k) // width)
+            for encode in (hope.encode, _batch_of_one(hope)):
+                for k, want in zip(keys, gathered):
+                    before = calls
+                    assert encode(k) == want
+                    assert calls - before == -(-len(k) // width)
         finally:
             del d.lookup
 
@@ -232,10 +271,11 @@ class TestWindowMap:
 
         d.lookup = counting
         try:
-            for k, w in zip(keys, want):
-                before = calls
-                assert hope.encode(k) == w
-                assert calls - before == _reference_steps(d, k)[2]
+            for encode in (hope.encode, _batch_of_one(hope)):
+                for k, w in zip(keys, want):
+                    before = calls
+                    assert encode(k) == w
+                    assert calls - before == _reference_steps(d, k)[2]
         finally:
             del d.lookup
         assert not d.windows

@@ -140,6 +140,13 @@ class TestNullKeys:
         assert_equivalent(got, "SELECT key FROM t WHERE key >= 'com.a' AND key < 'com.z'", t=with_nulls_df)
 
 
+def test_rejects_non_text_key_column(spark, hope_3grams):
+    """An int key column fails when the plan is built, naming the column and its type."""
+    df = spark.createDataFrame([(1,), (None,), (3,)], "id int")
+    with pytest.raises(TypeError, match="'id' is int"):
+        encode_df(df, "id", hope_3grams)
+
+
 class TestOrderCheckFails:
     """``check_order_preserved`` counts planted faults, not only 0."""
 
