@@ -5,9 +5,10 @@ single-thread encode latency per char, and dictionary memory. Symbol
 statistics are computed distributively in Spark (core.spark_select);
 encoding latency is measured single-threaded on the driver, as in the
 paper: the median of ``PASSES`` passes over the evaluation keys. The
-first pass fills the 3/4-Grams window map; every pass is kept in the
-record, and the map's entries are reported beside the dictionary bytes,
-which do not include them. One record per row goes to
+first pass fills the 3/4-Grams window maps; every pass is kept in the
+record, and the entries of the one-step map (one symbol per window) and
+of the pair map (two symbols per window) are reported beside the
+dictionary bytes, which do not include them. One record per row goes to
 ``results/fig8.jsonl``; the markdown table printed on stdout is rendered
 from those records.
 
@@ -66,7 +67,7 @@ def main(n_keys: int = 30_000) -> None:
                     for k in eval_keys:
                         hope.encoder.encode(k)
                     ns_per_char.append((time.perf_counter() - t0) / nchars * 1e9)
-                map_entries, map_bytes = hope.dictionary.window_map_size()
+                maps = hope.dictionary.window_map_size()
                 records.append(
                     {
                         "figure": "fig8",
@@ -79,8 +80,10 @@ def main(n_keys: int = 30_000) -> None:
                         "encode_ns_per_char": median(ns_per_char),
                         "encode_ns_per_char_passes": ns_per_char,
                         "dict_memory_bytes": hope.dict_memory_bytes(),
-                        "window_map_entries": map_entries,
-                        "window_map_bytes": map_bytes,
+                        "window_map_entries": maps["windows"][0],
+                        "window_map_bytes": maps["windows"][1],
+                        "pair_map_entries": maps["pairs"][0],
+                        "pair_map_bytes": maps["pairs"][1],
                     }
                 )
                 print(f"# done {ds}/{scheme}/{size}", file=sys.stderr)
@@ -88,7 +91,8 @@ def main(n_keys: int = 30_000) -> None:
     print(f"# wrote {write_records('fig8', records)}", file=sys.stderr)
     print_table(
         "Figure 8 — compression microbenchmarks",
-        ["dataset", "scheme", "dict limit", "dict entries", "CPR", "encode ns/char", "dict bytes", "window map entries"],
+        ["dataset", "scheme", "dict limit", "dict entries", "CPR", "encode ns/char", "dict bytes",
+         "window map entries", "pair map entries"],
         [
             (
                 r["dataset"],
@@ -99,6 +103,7 @@ def main(n_keys: int = 30_000) -> None:
                 round(r["encode_ns_per_char"], 1),
                 r["dict_memory_bytes"],
                 r["window_map_entries"],
+                r["pair_map_entries"],
             )
             for r in records
         ],

@@ -13,11 +13,13 @@ per-symbol ``lookup`` loop, and each runtime structure overrides them:
   over the sorted boundaries, on a window of the suffix no longer than
   the longest boundary.
 
-3/4-Grams (boundaries of at most ``WINDOW_MAP_MAX_LEN`` bytes) also keep a
-window map, window -> lookup, filled by ``bisect`` on a miss and capped at
-``WINDOW_MAP_CAP`` entries: short windows repeat, so one dict probe replaces
-most bisects. It is not pickled, and ``window_map_size`` reports it apart
-from ``memory_bytes``. ALM's windows run to 64 bytes, so its map would hold
+3/4-Grams (boundaries of at most ``WINDOW_MAP_MAX_LEN`` bytes) also keep
+two window maps of at most ``WINDOW_MAP_CAP`` entries: ``windows`` holds one
+symbol per window, filled by ``bisect``; ``pairs`` holds two, filled by two
+``windows`` probes. Short windows repeat, so a whole key takes two symbols
+per dict probe (a batch checkpoint, which must stop at a position, one).
+Neither map is pickled; ``window_map_size`` reports them apart from
+``memory_bytes``. ALM's windows run to 64 bytes, so its map would hold
 about one entry per distinct key suffix (tens of MB): ALM keeps ``bisect``.
 
 The paper's bitmap-trie (3/4-Grams, Figure 6) and ART-based trie
@@ -34,7 +36,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .intervals import Interval
 from .strutil import Code, bits_to_bytes, check_strictly_increasing, distinct_prefixes, lcp_len
@@ -55,11 +57,12 @@ WINDOW_MAP_CAP = 1 << 18
 class BaseDict:
     """Interface: lookup(src, pos) -> (code, nbits, symbol_len).
 
-    ``windows`` is the window map, or None. The attributes named
-    in ``_derived`` are rebuilt by ``_derive`` on unpickling, not pickled.
+    ``windows`` and ``pairs`` are the window maps, or None. The attributes
+    named in ``_derived`` are rebuilt by ``_derive`` on unpickling, not pickled.
     """
 
     windows: Optional[Dict[bytes, Lookup]] = None
+    pairs: Optional[Dict[bytes, Lookup]] = None
     _derived: Tuple[str, ...] = ()
 
     def __getstate__(self):
@@ -91,18 +94,32 @@ class BaseDict:
             pos += symlen
         return acc, nbits, pos
 
-    def window_map_size(self) -> Tuple[int, int]:
-        """(entries, bytes) of the window map: a Python cache, outside the paper's model."""
-        m = self.windows
-        if m is None:
-            return 0, 0
-        return len(m), sys.getsizeof(m) + sum(map(sys.getsizeof, m))
+    def window_map_size(self) -> Dict[str, Tuple[int, int]]:
+        """(entries, bytes of table and keys) per window map: caches outside the paper's model."""
+        return {name: (len(m), sys.getsizeof(m) + sum(map(sys.getsizeof, m))) if m else (0, 0)
+                for name, m in (("windows", self.windows), ("pairs", self.pairs))}
 
     def memory_bytes(self) -> int:  # pragma: no cover
         raise NotImplementedError
 
     def __len__(self) -> int:  # pragma: no cover
         raise NotImplementedError
+
+
+class _WindowMap(dict):
+    """window -> lookup. A missing window is looked up by ``miss`` and stored
+    while the map holds fewer than ``WINDOW_MAP_CAP`` entries."""
+
+    __slots__ = ("miss",)
+
+    def __init__(self, miss: Callable[[bytes], Lookup]):
+        self.miss = miss
+
+    def __missing__(self, window: bytes) -> Lookup:
+        found = self.miss(window)
+        if len(self) < WINDOW_MAP_CAP:
+            self[window] = found
+        return found
 
 
 class SortedBoundaryDict(BaseDict):
@@ -115,11 +132,13 @@ class SortedBoundaryDict(BaseDict):
     ``model`` names the trie layout whose bytes ``memory_bytes`` reports:
     ``"bitmap"`` (3/4-Grams) or ``"art"`` (ALM / ALM-Improved).
 
-    With ``max_boundary_len <= WINDOW_MAP_MAX_LEN``, ``windows`` keeps the
-    lookup of each window seen; every entry is exact, as the window is.
+    With ``L = max_boundary_len <= WINDOW_MAP_MAX_LEN``, ``windows`` keeps the
+    lookup of each window seen, and ``pairs`` that of the two symbols starting
+    each ``2L``-byte window seen. Both are exact: the second symbol starts at
+    most ``L`` bytes in, and at the key's end both steps see the same tail.
     """
 
-    _derived = ("windows",)
+    _derived = ("windows", "pairs")
 
     def __init__(self, intervals: Sequence[Interval], model: str = "bitmap"):
         if model not in ("bitmap", "art"):
@@ -132,7 +151,9 @@ class SortedBoundaryDict(BaseDict):
         self._derive()
 
     def _derive(self) -> None:
-        self.windows = {} if self.max_boundary_len <= WINDOW_MAP_MAX_LEN else None
+        mapped = self.max_boundary_len <= WINDOW_MAP_MAX_LEN
+        self.windows = _WindowMap(lambda w: self.lookup(w, 0)) if mapped else None
+        self.pairs = _WindowMap(self._two_steps) if mapped else None
 
     def lookup(self, src: bytes, pos: int) -> Lookup:
         i = bisect_right(self.boundaries, src[pos : pos + self.max_boundary_len]) - 1
@@ -140,25 +161,43 @@ class SortedBoundaryDict(BaseDict):
             raise KeyError(f"no interval contains {src[pos:]!r} (incomplete dictionary)")
         return self.values[i]
 
+    def _two_steps(self, window: bytes) -> Lookup:
+        """``window``'s first two symbols as one lookup, from ``windows`` (never ``bisect``)."""
+        windows, span = self.windows, self.max_boundary_len
+        code, cbits, used = windows[window[:span]]
+        if used == len(window):  # the key ends after one symbol
+            return code, cbits, used
+        code2, cbits2, used2 = windows[window[used : used + span]]
+        return (code << cbits2) | code2, cbits + cbits2, used + used2
+
+    def encode(self, src: bytes) -> Tuple[bytes, int]:
+        """``resume`` of the whole key, flat: two symbols per ``pairs`` probe, padded here."""
+        if self.pairs is None:
+            return super().encode(src)
+        pairs, span, end = self.pairs, 2 * self.max_boundary_len, len(src)
+        acc = nbits = pos = 0
+        while pos < end:
+            code, cbits, symlen = pairs[src[pos : pos + span]]
+            acc = (acc << cbits) | code
+            nbits += cbits
+            pos += symlen
+        return (acc << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big"), nbits
+
     def resume(self, src: bytes, pos: int, stop: int, acc: int, nbits: int) -> Resumed:
-        """``BaseDict.resume`` through the window map, when there is one."""
+        """``BaseDict.resume`` through a window map, when there is one: ``pairs`` to the
+        key's end, else ``windows``, which takes no symbol starting at ``stop``."""
         if self.windows is None:
             return super().resume(src, pos, stop, acc, nbits)
-        get, miss, span = self.windows.get, self.window_miss, self.max_boundary_len
+        if stop < len(src):
+            m, span = self.windows, self.max_boundary_len
+        else:
+            m, span = self.pairs, 2 * self.max_boundary_len
         while pos < stop:
-            w = src[pos : pos + span]
-            code, cbits, symlen = get(w) or miss(w)
+            code, cbits, symlen = m[src[pos : pos + span]]
             acc = (acc << cbits) | code
             nbits += cbits
             pos += symlen
         return acc, nbits, pos
-
-    def window_miss(self, window: bytes) -> Lookup:
-        """Look ``window`` up by ``bisect`` and store it in the map while under the cap."""
-        found = self.lookup(window, 0)
-        if len(self.windows) < WINDOW_MAP_CAP:
-            self.windows[window] = found
-        return found
 
     def memory_bytes(self) -> int:
         trie_bytes = bitmap_trie_bytes if self.model == "bitmap" else art_trie_bytes

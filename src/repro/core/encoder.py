@@ -4,9 +4,10 @@ The dictionary owns the steps (see ``dictionary``): ``encode`` turns a
 whole key into zero-padded code bytes plus a bit count (ordered like the
 keys, proof in ``strutil``), and ``resume`` appends a key's codes from a
 position to a running big-int accumulator (the paper's chain of 64-bit
-shift/OR buffers). While ``lookup`` is replaced on the dictionary
-instance (as a counter does), ``BaseDict``'s per-symbol loop runs
-instead, calling it once per symbol.
+shift/OR buffers). ``Encoder.encode`` calls the dictionary's ``encode``
+directly: for 3/4-Grams that is two symbols per window-map probe. While
+``lookup`` is replaced on the dictionary instance (as a counter does),
+``BaseDict``'s per-symbol loop runs instead, calling it once per symbol.
 
 ``encode_batch`` is the §4.2 batching optimisation: the batch's common
 prefix is encoded once, up to the last dictionary step that stays inside
@@ -40,7 +41,8 @@ class Encoder:
 
     # -- single-key ------------------------------------------------------
     def encode(self, key: bytes) -> EncodedKey:
-        return self._steps().encode(key)
+        d = self.dictionary
+        return d.encode(key) if "lookup" not in d.__dict__ else self._steps().encode(key)
 
     # -- batched ---------------------------------------------------------
     def _encode_prefix_checkpoint(self, steps: BaseDict, prefix: bytes) -> Resumed:

@@ -83,25 +83,18 @@ class HopeEncoder:
     def compression_rate(self, keys: Sequence[bytes]) -> float:
         """uncompressed bytes / compressed bytes over ``keys``, counting
         compressed keys bit-exact, the microbenchmark CPR definition (§6.1)."""
-        orig = 0
-        comp_bits = 0
-        for k in keys:
-            orig += len(k)
-            comp_bits += self.encoder.encode(k)[1]
+        orig = sum(map(len, keys))
+        comp_bits = sum(self.encoder.encode(k)[1] for k in keys)
         if orig == 0:
             return 1.0
         return orig / (comp_bits / 8.0) if comp_bits else float("inf")
 
 
 def _select_boundaries(kind: str, samples: Sequence[bytes], max_entries: int, freqs) -> List[bytes]:
-    if kind == "grams3":
-        return ss.select_grams(samples, 3, max_entries, freqs=freqs)
-    if kind == "grams4":
-        return ss.select_grams(samples, 4, max_entries, freqs=freqs)
-    if kind == "alm":
-        return ss.select_alm(samples, max_entries, improved=False, freqs=freqs)
-    if kind == "alm-improved":
-        return ss.select_alm(samples, max_entries, improved=True, freqs=freqs)
+    if kind in ("grams3", "grams4"):
+        return ss.select_grams(samples, int(kind[-1]), max_entries, freqs=freqs)
+    if kind in ("alm", "alm-improved"):
+        return ss.select_alm(samples, max_entries, improved=kind == "alm-improved", freqs=freqs)
     raise ValueError(f"unknown selector {kind}")
 
 

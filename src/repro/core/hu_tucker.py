@@ -99,10 +99,7 @@ def canonical_alphabetic_codes(depths: Sequence[int]) -> List[Code]:
     codes.append((0, prev))
     for l in depths[1:]:
         val += 1
-        if l >= prev:
-            val <<= l - prev
-        else:
-            val >>= prev - l
+        val = val << (l - prev) if l >= prev else val >> (prev - l)
         codes.append((val, l))
         prev = l
     return codes

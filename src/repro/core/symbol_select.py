@@ -115,8 +115,7 @@ def count_suffixes(samples: Iterable[bytes], max_len: int = ALM_IMPROVED_MAX_SUF
     """ALM-Improved statistics: only suffixes of the sample keys."""
     c: Counter = Counter()
     for s in samples:
-        n = len(s)
-        for i in range(n):
+        for i in range(len(s)):
             c[s[i : i + max_len]] += 1
     return c
 

@@ -42,6 +42,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.dictionary import art_node_bytes
 from ..core.strutil import check_strictly_increasing, lcp_len
+from . import gc_paused
 
 PESSIMISTIC_BYTES = 8
 LEAF_BYTES = 8
@@ -87,6 +88,7 @@ class ART:
         self.n_keys = 0
 
     # -- build / insert --------------------------------------------------
+    @gc_paused()
     def build(self, keys: Sequence[bytes], values: Optional[Sequence[Any]] = None) -> None:
         """Bulk-load strictly increasing keys, replacing the tree's contents.
 

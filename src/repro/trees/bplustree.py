@@ -27,6 +27,7 @@ from bisect import bisect_left, bisect_right
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.strutil import check_strictly_increasing, lcp, lcp_len
+from . import gc_paused
 
 NODE_BYTES = 256
 FANOUT = 16
@@ -57,6 +58,7 @@ class BPlusTree:
         self.n_keys = 0
 
     # -- bulk load -------------------------------------------------------
+    @gc_paused()
     def build(self, keys: Sequence[bytes], values: Optional[Sequence[Any]] = None) -> None:
         """Bulk-load sorted unique keys at ~87% fill (14/16 slots)."""
         check_strictly_increasing(keys)

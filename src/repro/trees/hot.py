@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.strutil import check_strictly_increasing, lcp_len
+from . import gc_paused
 
 MAX_COMPOUND_FANOUT = 32
 _COMPOUND_LEVELS = 5  # 2^5 = 32
@@ -81,6 +82,7 @@ class HOT:
         self.n_keys = 0
 
     # -- build -----------------------------------------------------------
+    @gc_paused()
     def build(self, keys: Sequence[bytes], values: Optional[Sequence[Any]] = None) -> None:
         """Bulk-load *sorted unique* keys into a balanced Patricia trie."""
         check_strictly_increasing(keys)
@@ -121,7 +123,6 @@ class HOT:
             return
         p = first_diff_bit(key, node.key)
         new_leaf = _PLeaf(key, value)
-        bit = key_bit(key, p)
         parent = None
         cur = self.root
         went_right = False
@@ -130,10 +131,7 @@ class HOT:
             parent = cur
             went_right = bool(key_bit(key, cur.bitpos))
             cur = cur.right if went_right else cur.left
-        if bit:
-            merged = _PNode(p, cur, new_leaf)
-        else:
-            merged = _PNode(p, new_leaf, cur)
+        merged = _PNode(p, cur, new_leaf) if key_bit(key, p) else _PNode(p, new_leaf, cur)
         merged.max_key = max(key, self._subtree_max(cur))
         if parent is None:
             self.root = merged

@@ -29,6 +29,7 @@ from bisect import bisect_left, bisect_right
 from typing import List, Sequence
 
 from ..core.strutil import distinct_prefixes, lcp_len
+from . import gc_paused
 
 
 class SuRF:
@@ -41,6 +42,7 @@ class SuRF:
         self._sufs: List[int] = []  # their suffix bits
 
     # -- build -----------------------------------------------------------
+    @gc_paused()
     def build(self, keys: Sequence[bytes], values=None) -> None:
         """Batch-build from sorted unique keys (SuRF is build-once).
 
@@ -63,11 +65,7 @@ class SuRF:
         if self.suffix_bits == 0:
             return 0
         rest = key[tlen : tlen + (self.suffix_bits + 7) // 8 + 1]
-        acc = 0
-        have = 0
-        for b in rest:
-            acc = (acc << 8) | b
-            have += 8
+        acc, have = int.from_bytes(rest, "big"), 8 * len(rest)
         if have >= self.suffix_bits:
             acc >>= have - self.suffix_bits
         else:

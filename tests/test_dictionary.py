@@ -295,11 +295,11 @@ class TestWindowMap:
         # Distinct 4-byte windows spread over the whole axis (odd multiplier mod 2^32).
         windows = [(i * 2654435761 % (1 << 32)).to_bytes(4, "big") for i in range(WINDOW_MAP_CAP + 500)]
         for w in windows:
-            d.window_miss(w)
+            d.windows[w]
         assert len(d.windows) == WINDOW_MAP_CAP
         assert windows[-1] not in d.windows
         for w in windows[:200] + windows[-200:]:  # stored entries and misses past the cap
-            assert d.window_miss(w) == _predecessor(ivs, w, 0)
+            assert d.windows[w] == _predecessor(ivs, w, 0)
         enc = Encoder(d)
         keys = _random_keys(300, seed=5) + [b"", b"\x00", b"\xff" * 9]
         assert [enc.encode(k) for k in keys] == [_bisect_encoding(ivs, k) for k in keys]
@@ -311,23 +311,25 @@ class TestWindowMap:
         d = SortedBoundaryDict(ivs, model="art")
         keys = _random_keys(200, seed=7) + SAMPLES[:4]
         warm = [Encoder(d).encode(k) for k in keys]
-        assert (d.windows is not None) == (d.max_boundary_len <= 4)
+        assert (d.windows is not None) == (d.max_boundary_len <= 4) == (d.pairs is not None)
         if d.windows is not None:
-            assert d.windows
+            assert d.windows and d.pairs
         blob = pickle.dumps(d, protocol=pickle.HIGHEST_PROTOCOL)
         assert blob == pickle.dumps(SortedBoundaryDict(ivs, model="art"), protocol=pickle.HIGHEST_PROTOCOL)
         back = pickle.loads(blob)
-        assert back.windows == ({} if d.windows is not None else None)
+        assert back.windows == back.pairs == ({} if d.windows is not None else None)
         assert [Encoder(back).encode(k) for k in keys] == warm
         assert back.memory_bytes() == d.memory_bytes()
 
     def test_map_size_is_reported_apart_from_memory_model(self):
         d = SortedBoundaryDict(VARIABLE_IVS["3grams"])
         model = d.memory_bytes()
-        assert d.window_map_size()[0] == 0
+        assert d.window_map_size() == {"windows": (0, 0), "pairs": (0, 0)}
         for k in SAMPLES[:4]:
             Encoder(d).encode(k)
-        entries, nbytes = d.window_map_size()
-        assert entries == len(d.windows) > 0
-        assert nbytes > entries * len(b"abc")
+        sizes = d.window_map_size()
+        for name, window in (("windows", b"abc"), ("pairs", b"abcdef")):
+            entries, nbytes = sizes[name]
+            assert entries == len(getattr(d, name)) > 0
+            assert nbytes > entries * len(window)
         assert d.memory_bytes() == model

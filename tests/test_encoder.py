@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import dictionary
 from repro.core.dictionary import ArrayDict, SortedBoundaryDict
 from repro.core.encoder import Encoder
 from repro.core.hope import build_hope
@@ -164,6 +165,11 @@ def _reference_bits(d, key):
     return _reference_steps(d, key)[:2]
 
 
+def _reference_encode(d, key):
+    acc, nbits = _reference_bits(d, key)
+    return bits_to_bytes(acc, nbits), nbits
+
+
 def _batch_of_one(hope):
     """Encode a key as a batch of one: a checkpoint walk over the whole key, then a resume."""
     return lambda k: hope.encoder.encode_batch([k])[0]
@@ -225,7 +231,7 @@ class TestFixedWidthGather:
 
 
 class TestWindowMap:
-    """3/4-Grams encode through the window map; it must equal ``bisect``."""
+    """3/4-Grams encode through the window maps; they must equal ``bisect``."""
 
     @pytest.mark.parametrize("training", ["text", "nul"])
     @pytest.mark.parametrize("scheme", ["3grams", "4grams"])
@@ -236,12 +242,14 @@ class TestWindowMap:
     def test_window_map_equals_bisect(self, scheme, training, keys):
         hope = _hope(scheme, training)
         d = hope.dictionary
-        assert d.max_boundary_len <= 4 and d.windows is not None
+        assert d.max_boundary_len <= 4 and d.windows is not None and d.pairs is not None
         d.windows.clear()
-        want = [_reference_bits(d, k) for k in keys]
-        for _ in range(2):  # a cold map, then the same keys over the warm map
-            assert [hope.encode(k) for k in keys] == [(bits_to_bytes(a, n), n) for a, n in want]
+        d.pairs.clear()
+        want = [_reference_encode(d, k) for k in keys]
+        for _ in range(2):  # cold maps, then the same keys over the warm maps
+            assert [hope.encode(k) for k in keys] == want
         assert len(d.windows) <= sum(map(len, keys))
+        assert len(d.pairs) <= sum(map(len, keys))
         run = sorted(keys)
         assert hope.encoder.encode_batch(run) == [hope.encode(k) for k in run]
 
@@ -249,8 +257,53 @@ class TestWindowMap:
     def test_alm_keeps_plain_bisect(self, scheme):
         hope = _hope(scheme, "text")
         assert hope.dictionary.max_boundary_len > 4
-        assert hope.dictionary.windows is None
-        assert hope.dictionary.window_map_size() == (0, 0)
+        assert hope.dictionary.windows is None and hope.dictionary.pairs is None
+        assert hope.dictionary.window_map_size() == {"windows": (0, 0), "pairs": (0, 0)}
+
+    @pytest.mark.parametrize("training", ["text", "nul"])
+    @pytest.mark.parametrize("scheme", ["3grams", "4grams"])
+    def test_checkpoint_stops_mid_key(self, scheme, training):
+        """Runs sharing prefixes of 1-13 bytes: the checkpoint stops short of the
+        key's end, often inside a symbol, and must take no symbol starting past it."""
+        hope = _hope(scheme, training)
+        d = hope.dictionary
+        rng = random.Random(3)
+        alphabet = b"abc.@" if training == "text" else b"\x00\x01\xfe\xff"
+        for plen in range(1, 14):
+            stem = bytes(rng.choices(alphabet, k=plen))
+            run = [stem + bytes(rng.choices(alphabet, k=rng.randrange(0, 7))) for _ in range(5)]
+            d.windows.clear()
+            d.pairs.clear()
+            for _ in range(2):  # cold maps, then warm ones
+                got = hope.encoder.encode_batch(run)
+                assert got == [_reference_encode(d, k) for k in run]
+                assert got == [hope.encode(k) for k in run]
+
+    @pytest.mark.parametrize("scheme", ["3grams", "4grams"])
+    def test_pair_map_past_cap_takes_no_bisect(self, scheme, monkeypatch):
+        """Past its cap the pair map still encodes exactly, from ``windows`` probes alone."""
+        hope = _hope(scheme, "text")
+        d = hope.dictionary
+        keys = _EDGE_KEYS + _NUL_RICH + [s + b"!" for s in SAMPLES[:4]] + [bytes(range(256))[i:] for i in range(40)]
+        want = [_reference_encode(d, k) for k in keys]
+        d.windows.clear()
+        d.pairs.clear()
+        assert [hope.encode(k) for k in keys] == want  # warms ``windows`` under the full cap
+        d.pairs.clear()
+        monkeypatch.setattr(dictionary, "WINDOW_MAP_CAP", 8)
+        calls = 0
+        bisect = SortedBoundaryDict.lookup
+
+        def counting(self, src, pos):
+            nonlocal calls
+            calls += 1
+            return bisect(self, src, pos)
+
+        monkeypatch.setattr(SortedBoundaryDict, "lookup", counting)
+        for _ in range(2):
+            assert [hope.encode(k) for k in keys] == want
+            assert len(d.pairs) == 8
+        assert calls == 0
 
     @pytest.mark.parametrize("scheme", ["3grams", "4grams", "alm", "alm-improved"])
     def test_instance_lookup_is_called_per_symbol(self, scheme):
@@ -262,6 +315,7 @@ class TestWindowMap:
         want = [hope.encode(k) for k in keys]
         if d.windows is not None:
             d.windows.clear()
+            d.pairs.clear()
         calls = 0
 
         def counting(src, pos):
@@ -279,3 +333,4 @@ class TestWindowMap:
         finally:
             del d.lookup
         assert not d.windows
+        assert not d.pairs
