@@ -20,6 +20,13 @@ Only the memory model is prefix-truncated: queries run the plain
 Both trees support point lookup, ordered range scans via leaf links,
 and single-key inserts with node splits. Keys are ``bytes``; values
 are opaque (8-byte pointers in the memory model).
+
+At run time a leaf holds its sorted ``keys`` (for ``bisect``) and, in
+step with them, ``items``: one ``(key, value)`` slot per key, as a TLX
+leaf slot pairs a key pointer with a value pointer. ``scan`` returns
+slices of ``items`` as they are, so it builds no tuple per key. The
+memory model above reads only ``keys``: a 256-byte node already pays
+for each slot's key and value pointers.
 """
 from __future__ import annotations
 
@@ -34,11 +41,11 @@ FANOUT = 16
 
 
 class _Leaf:
-    __slots__ = ("keys", "vals", "next")
+    __slots__ = ("keys", "items", "next")
 
     def __init__(self) -> None:
-        self.keys: List[bytes] = []
-        self.vals: List[Any] = []
+        self.keys: List[bytes] = []  # what bisect and the memory model read
+        self.items: List[Tuple[bytes, Any]] = []  # (key, value) slots, in step with keys
         self.next: Optional["_Leaf"] = None
 
 
@@ -60,16 +67,20 @@ class BPlusTree:
     # -- bulk load -------------------------------------------------------
     @gc_paused()
     def build(self, keys: Sequence[bytes], values: Optional[Sequence[Any]] = None) -> None:
-        """Bulk-load sorted unique keys at ~87% fill (14/16 slots)."""
+        """Bulk-load sorted unique keys at ~87% fill (14/16 slots).
+
+        ``values`` (default ``0..n-1``) must be as long as ``keys``.
+        """
         check_strictly_increasing(keys)
         if values is None:
-            values = list(range(len(keys)))
+            values = range(len(keys))
+        items = list(zip(keys, values, strict=True))
         fill = FANOUT - 2
         leaves: List[_Leaf] = []
         for i in range(0, len(keys), fill):
             leaf = _Leaf()
             leaf.keys = list(keys[i : i + fill])
-            leaf.vals = list(values[i : i + fill])
+            leaf.items = items[i : i + fill]
             if leaves:
                 leaves[-1].next = leaf
             leaves.append(leaf)
@@ -106,7 +117,7 @@ class BPlusTree:
         leaf = self._find_leaf(key)
         i = bisect_left(leaf.keys, key)
         if i < len(leaf.keys) and leaf.keys[i] == key:
-            return leaf.vals[i]
+            return leaf.items[i][1]
         return None
 
     def scan(self, start: bytes, count: int) -> List[Tuple[bytes, Any]]:
@@ -114,8 +125,7 @@ class BPlusTree:
         out: List[Tuple[bytes, Any]] = []
         i = bisect_left(leaf.keys, start)
         while leaf is not None and len(out) < count:
-            j = i + count - len(out)
-            out += zip(leaf.keys[i:j], leaf.vals[i:j])
+            out += leaf.items[i : i + count - len(out)]
             leaf = leaf.next
             i = 0
         return out
@@ -134,18 +144,18 @@ class BPlusTree:
         if isinstance(node, _Leaf):
             i = bisect_left(node.keys, key)
             if i < len(node.keys) and node.keys[i] == key:
-                node.vals[i] = value
+                node.items[i] = (key, value)
                 return None
             node.keys.insert(i, key)
-            node.vals.insert(i, value)
+            node.items.insert(i, (key, value))
             self.n_keys += 1
             if len(node.keys) > FANOUT:
                 mid = len(node.keys) // 2
                 right = _Leaf()
                 right.keys = node.keys[mid:]
-                right.vals = node.vals[mid:]
+                right.items = node.items[mid:]
                 node.keys = node.keys[:mid]
-                node.vals = node.vals[:mid]
+                node.items = node.items[:mid]
                 right.next = node.next
                 node.next = right
                 return (right.keys[0], right)

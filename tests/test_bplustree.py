@@ -4,7 +4,7 @@ from bisect import bisect_left
 
 import pytest
 
-from repro.trees.bplustree import FANOUT, NODE_BYTES, BPlusTree, PrefixBPlusTree
+from repro.trees.bplustree import FANOUT, NODE_BYTES, BPlusTree, PrefixBPlusTree, _Inner
 
 
 def _keys(n, seed=0, lo=97, hi=123, minlen=3, maxlen=14):
@@ -13,6 +13,30 @@ def _keys(n, seed=0, lo=97, hi=123, minlen=3, maxlen=14):
     while len(out) < n:
         out.add(bytes(rng.randrange(lo, hi) for _ in range(rng.randrange(minlen, maxlen))))
     return sorted(out)
+
+
+def _grown(cls, keys, seed):
+    """Even-indexed keys bulk-loaded, odd-indexed ones inserted in shuffled order."""
+    t = cls()
+    t.build(keys[::2], list(range(0, len(keys), 2)))
+    order = list(range(1, len(keys), 2))
+    random.Random(seed).shuffle(order)
+    for i in order:
+        t.insert(keys[i], i)
+    return t
+
+
+def _inner_count(t):
+    return sum(isinstance(n, _Inner) for n in t._walk_nodes())
+
+
+def _leaves(t):
+    node = t.root
+    while isinstance(node, _Inner):
+        node = node.children[0]
+    while node is not None:
+        yield node
+        node = node.next
 
 
 @pytest.fixture(scope="module", params=[BPlusTree, PrefixBPlusTree], ids=["btree", "prefixbtree"])
@@ -98,7 +122,25 @@ class TestInsert:
         t.build([b"a", b"b"], [1, 2])
         t.insert(b"a", 99)
         assert t.lookup(b"a") == 99
+        assert t.scan(b"", 5) == [(b"a", 99), (b"b", 2)]
         assert len(t) == 2
+
+    @pytest.mark.parametrize("cls", [BPlusTree, PrefixBPlusTree])
+    def test_update_after_splits_shows_in_scan(self, cls):
+        keys = _keys(1200, seed=6)
+        t = _grown(cls, keys, seed=8)
+        bulk = cls()
+        bulk.build(keys[::2])
+        assert _inner_count(t) > _inner_count(bulk)  # inserts split inner nodes too
+        vals = list(range(len(keys)))
+        for i in range(0, len(keys), 7):  # overwrite bulk-loaded and inserted keys alike
+            vals[i] = -i - 1
+            t.insert(keys[i], vals[i])
+        assert len(t) == len(keys)
+        for i in range(0, len(keys), 7):
+            assert t.lookup(keys[i]) == vals[i]
+        assert t.scan(b"", len(keys)) == list(zip(keys, vals))
+        assert t.scan(keys[21], 30) == list(zip(keys[21:51], vals[21:51]))
 
     @pytest.mark.parametrize("cls", [BPlusTree, PrefixBPlusTree])
     def test_insert_into_bulk_loaded(self, cls):
@@ -114,12 +156,34 @@ class TestInsert:
             assert t.lookup(keys[i]) == i
 
 
+class TestSlots:
+    @pytest.mark.parametrize("cls", [BPlusTree, PrefixBPlusTree])
+    def test_items_follow_keys(self, cls):
+        keys = _keys(3000, seed=11)
+        t = _grown(cls, keys, seed=12)
+        bulk = cls()
+        bulk.build(keys[::2])
+        assert _inner_count(t) > _inner_count(bulk)  # inserts split inner nodes too
+        seen = []
+        for leaf in _leaves(t):
+            assert 0 < len(leaf.keys) <= FANOUT
+            assert [k for k, _ in leaf.items] == leaf.keys
+            seen += leaf.items
+        assert seen == list(zip(keys, range(len(keys))))
+
+
 class TestBulkLoadInput:
     @pytest.mark.parametrize("cls", [BPlusTree, PrefixBPlusTree])
     @pytest.mark.parametrize("keys", [[b"b", b"a"], [b"a", b"b", b"b"], [b"ab", b"a"]], ids=["unsorted", "duplicate", "prefix-after"])
     def test_rejects_not_strictly_increasing(self, cls, keys):
         with pytest.raises(ValueError, match="strictly increasing"):
             cls().build(keys)
+
+    @pytest.mark.parametrize("cls", [BPlusTree, PrefixBPlusTree])
+    @pytest.mark.parametrize("n_values", [2, 4])
+    def test_rejects_values_of_another_length(self, cls, n_values):
+        with pytest.raises(ValueError):
+            cls().build([b"a", b"b", b"c"], list(range(n_values)))
 
 
 class TestMemory:
@@ -137,6 +201,12 @@ class TestMemory:
         pfx = PrefixBPlusTree()
         pfx.build(keys)
         assert pfx.memory_bytes() < plain.memory_bytes()
+
+    def test_memory_model_pinned(self):
+        # Pinned analytic bytes: the runtime leaf layout must not move them.
+        keys = _keys(3000, seed=11)
+        assert _grown(BPlusTree, keys, seed=12).memory_bytes() == 84807
+        assert _grown(PrefixBPlusTree, keys, seed=12).memory_bytes() == 82992
 
     def test_memory_grows_with_keys(self):
         a, b = BPlusTree(), BPlusTree()
