@@ -29,11 +29,11 @@ PASSES = 3
 def _time_pass(hope, keys, batch: int) -> float:
     t0 = time.perf_counter()
     if batch == 1:
-        enc = hope.encoder.encode
+        enc = hope.dictionary.encode
         for k in keys:
             enc(k)
     else:
-        eb = hope.encoder.encode_batch
+        eb = hope.dictionary.encode_batch
         for i in range(0, len(keys), batch):
             eb(keys[i : i + batch])
     return time.perf_counter() - t0

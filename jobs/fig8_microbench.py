@@ -65,7 +65,7 @@ def main(n_keys: int = 30_000) -> None:
                 for _ in range(PASSES):
                     t0 = time.perf_counter()
                     for k in eval_keys:
-                        hope.encoder.encode(k)
+                        hope.dictionary.encode(k)
                     ns_per_char.append((time.perf_counter() - t0) / nchars * 1e9)
                 maps = hope.dictionary.window_map_size()
                 records.append(

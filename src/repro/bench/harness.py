@@ -71,7 +71,7 @@ def run_tree_bench(
         hope = build_hope(cfg["scheme"], sample, max_dict_entries=cfg.get("dict", 1 << 16))
         t_build = time.perf_counter() - t0
 
-    enc = hope.encoder.encode if hope else None
+    enc = hope.dictionary.encode if hope else None
     if enc:
         tree_load = [enc(k)[0] for k in load_keys]
         tree_ins = [enc(k)[0] for k in insert_keys]
@@ -116,7 +116,7 @@ def run_tree_bench(
     # ---- range queries -------------------------------------------------
     if is_filter:
         ranges = surf_range_queries(load_keys, n_queries, seed)
-        pair = hope.encoder.encode_pair if hope else None
+        pair = hope.dictionary.encode_pair if hope else None
         t0 = time.perf_counter()
         for lo, hi in ranges:
             if pair:

@@ -1,11 +1,14 @@
-"""Dictionary module (HOPE §4.2): interval -> code lookup structures.
+"""Dictionary and Encoder modules (HOPE §4.2): interval -> code lookup
+structures that also turn keys into codes.
 
 A HOPE dictionary stores only the *left boundary* of each interval; a
 lookup is a "greatest boundary <= suffix" (predecessor) query returning
 the interval's code and symbol length. Each dictionary also encodes:
-``encode`` a whole key, ``resume`` a key's symbols from a position onto
-a running bit accumulator (batching). ``BaseDict`` supplies both as the
-per-symbol ``lookup`` loop, and each runtime structure overrides them:
+``encode`` a whole key into zero-padded code bytes plus a bit count
+(ordered like the keys, proof in ``strutil``), ``resume`` a key's symbols
+from a position onto a running big-int accumulator (the paper's chain of
+64-bit shift/OR buffers). ``BaseDict`` supplies both as the per-symbol
+``lookup`` loop, and each runtime structure overrides them:
 
 * ``ArrayDict`` (Single/Double-Char): one O(1) array probe per symbol;
   symbols have a fixed width, so a run of them is one C-level gather;
@@ -21,6 +24,14 @@ per dict probe (a batch checkpoint, which must stop at a position, one).
 Neither map is pickled; ``window_map_size`` reports them apart from
 ``memory_bytes``. ALM's windows run to 64 bytes, so its map would hold
 about one entry per distinct key suffix (tens of MB): ALM keeps ``bisect``.
+
+``BaseDict.encode_batch`` is the §4.2 batching optimisation: the batch's
+common prefix is encoded once, up to the last dictionary step that stays
+inside it, and each key resumes from that checkpoint. ``encode_pair`` (a
+batch of two) encodes the bounds of a closed range query (Appendix B/D).
+While ``lookup`` is replaced on a dictionary instance (as a counter does),
+``steps`` gives ``BaseDict``'s per-symbol loop over it, which the batch
+methods take; a whole key's ``encode`` on the instance itself does not.
 
 The paper's bitmap-trie (3/4-Grams, Figure 6) and ART-based trie
 (ALM*) are 2.3x faster than binary search in C++; in Python an
@@ -39,10 +50,11 @@ from collections import Counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .intervals import Interval
-from .strutil import Code, bits_to_bytes, check_strictly_increasing, distinct_prefixes, lcp_len
+from .strutil import Code, bits_to_bytes, check_strictly_increasing, distinct_prefixes, lcp, lcp_len
 
 Lookup = Tuple[int, int, int]  # (code, nbits, symbol_len)
 Resumed = Tuple[int, int, int]  # (bit accumulator, nbits, position reached)
+EncodedKey = Tuple[bytes, int]  # (zero-padded payload, number of meaningful bits)
 
 # Per-entry value cost shared by all structures: 32-bit code + 8-bit length.
 _VALUE_BYTES = 5
@@ -61,6 +73,7 @@ class BaseDict:
     named in ``_derived`` are rebuilt by ``_derive`` on unpickling, not pickled.
     """
 
+    max_boundary_len: int
     windows: Optional[Dict[bytes, Lookup]] = None
     pairs: Optional[Dict[bytes, Lookup]] = None
     _derived: Tuple[str, ...] = ()
@@ -78,7 +91,7 @@ class BaseDict:
     def lookup(self, src: bytes, pos: int) -> Lookup:  # pragma: no cover
         raise NotImplementedError
 
-    def encode(self, src: bytes) -> Tuple[bytes, int]:
+    def encode(self, src: bytes) -> EncodedKey:
         """All of ``src`` as ``(zero-padded code bytes, nbits)``."""
         acc, nbits, _ = self.resume(src, 0, len(src), 0, 0)
         return bits_to_bytes(acc, nbits), nbits
@@ -93,6 +106,46 @@ class BaseDict:
             nbits += cbits
             pos += symlen
         return acc, nbits, pos
+
+    def steps(self) -> "BaseDict":
+        """This dictionary, or ``BaseDict``'s loop over its instance-replaced ``lookup``."""
+        if "lookup" not in self.__dict__:
+            return self
+        loop = BaseDict()
+        loop.lookup, loop.max_boundary_len = self.lookup, self.max_boundary_len
+        return loop
+
+    # -- batched ---------------------------------------------------------
+    def _prefix_checkpoint(self, prefix: bytes) -> Resumed:
+        """Encode as much of ``prefix`` as is *provably* shared work.
+
+        A checkpoint step at ``pos`` is safe iff the interval found for
+        ``prefix[pos:]`` provably contains every extension of the
+        prefix. That holds whenever the remaining prefix is at least as
+        long as the longest interval boundary (``max_boundary_len``):
+        the next boundary above cannot then separate two extensions.
+        This is why the paper's batching helps the fixed-interval and
+        k-gram schemes but not ALM (unbounded boundaries → checkpoint
+        consumes nothing), as observed in Appendix B.
+        """
+        stop = len(prefix) - self.max_boundary_len + 1
+        return self.resume(prefix, 0, stop, 0, 0)
+
+    def encode_batch(self, keys: Sequence[bytes]) -> List[EncodedKey]:
+        """Encode keys in any order: each lies between the least and greatest, sharing their prefix."""
+        if not keys:
+            return []
+        steps = self.steps()
+        acc0, nbits0, consumed = steps._prefix_checkpoint(lcp(min(keys), max(keys)))
+        out: List[EncodedKey] = []
+        for k in keys:
+            acc, nbits, _ = steps.resume(k, consumed, len(k), acc0, nbits0)
+            out.append((bits_to_bytes(acc, nbits), nbits))
+        return out
+
+    def encode_pair(self, lo: bytes, hi: bytes) -> Tuple[EncodedKey, EncodedKey]:
+        """Pair-encoding for the two boundary keys of a closed-range query."""
+        return tuple(self.encode_batch([lo, hi]))
 
     def window_map_size(self) -> Dict[str, Tuple[int, int]]:
         """(entries, bytes of table and keys) per window map: caches outside the paper's model."""
@@ -150,6 +203,21 @@ class SortedBoundaryDict(BaseDict):
         self.max_boundary_len: int = max(len(b) for b in self.boundaries)
         self._derive()
 
+    @staticmethod
+    def symbol_hits(samples: Iterable[bytes], intervals: Sequence[Interval]) -> List[int]:
+        """Per-interval symbol counts of encoding ``samples`` by ``bisect`` (the §4.2 test encode)."""
+        boundaries = [iv.lo for iv in intervals]
+        window = max(map(len, boundaries))
+        symlens = [len(iv.symbol) for iv in intervals]
+        hits = [0] * len(intervals)
+        for key in samples:
+            pos, n = 0, len(key)
+            while pos < n:
+                i = bisect_right(boundaries, key[pos : pos + window]) - 1
+                hits[i] += 1
+                pos += symlens[i]
+        return hits
+
     def _derive(self) -> None:
         mapped = self.max_boundary_len <= WINDOW_MAP_MAX_LEN
         self.windows = _WindowMap(lambda w: self.lookup(w, 0)) if mapped else None
@@ -170,7 +238,7 @@ class SortedBoundaryDict(BaseDict):
         code2, cbits2, used2 = windows[window[used : used + span]]
         return (code << cbits2) | code2, cbits + cbits2, used + used2
 
-    def encode(self, src: bytes) -> Tuple[bytes, int]:
+    def encode(self, src: bytes) -> EncodedKey:
         """``resume`` of the whole key, flat: two symbols per ``pairs`` probe, padded here."""
         if self.pairs is None:
             return super().encode(src)
@@ -289,7 +357,7 @@ class ArrayDict(BaseDict):
         s = "".join(map(self._heads.__getitem__, memoryview(src)[pos : end & ~1].cast("H")))
         return s + self._tails[src[-1]] if end & 1 else s
 
-    def encode(self, src: bytes) -> Tuple[bytes, int]:
+    def encode(self, src: bytes) -> EncodedKey:
         s = self.code_string(src, 0, len(src))
         nbits = len(s)
         return int(s + "0" * (-nbits % 8) or "0", 2).to_bytes((nbits + 7) // 8, "big"), nbits

@@ -2,7 +2,7 @@
 
 ``build_hope(scheme, samples, max_dict_entries)`` runs the two-module
 build pipeline — Symbol Selector → Code Assigner — and materialises the
-scheme's Dictionary + Encoder:
+scheme's Dictionary, which also encodes (HOPE's Encoder, see ``dictionary``):
 
 =============  ================  =============  ==============
 Scheme         Symbol Selector   Code Assigner  Dictionary
@@ -21,21 +21,21 @@ bytes of its paper trie layout (see ``dictionary``).
 
 Build timing is recorded per module (symbol_select / code_assign /
 dict_build) to reproduce Figure 9. Interval access probabilities come
-from a test encoding of the samples (§4.2): variable-interval schemes
-bisect over their checked ``Interval``s as the runtime lookup does;
-Single/Double-Char, whose layout is fixed, count the samples' 1- and
-2-byte symbols and build their ``ArrayDict`` from the codes alone.
+from a test encoding of the samples (§4.2), by the dictionary class's
+``symbol_hits``: variable-interval schemes bisect over their checked
+``Interval``s as the runtime lookup does; Single/Double-Char, whose layout
+is fixed, count the samples' 1- and 2-byte symbols and build their
+``ArrayDict`` from the codes alone. This module only wires the modules
+together: keys become codes in ``dictionary`` alone.
 """
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from . import symbol_select as ss
-from .dictionary import ArrayDict, BaseDict, SortedBoundaryDict
-from .encoder import EncodedKey, Encoder
+from .dictionary import ArrayDict, BaseDict, EncodedKey, SortedBoundaryDict
 from .hu_tucker import assign_fixed, hu_tucker_codes
 from .intervals import Interval, build_intervals, with_codes
 
@@ -54,12 +54,16 @@ SCHEME_TABLE = {
 
 @dataclass
 class HopeEncoder:
-    """A built HOPE instance: dictionary + encoder + build metadata."""
+    """A built HOPE instance: the dictionary (which encodes) + build metadata."""
 
     scheme: str
     dictionary: BaseDict
-    encoder: Encoder
     build_times: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def encoder(self) -> BaseDict:
+        """The dictionary, whose bound ``encode`` is the hot path (read by ``perfbench``)."""
+        return self.dictionary
 
     @property
     def dict_entries(self) -> int:
@@ -78,13 +82,15 @@ class HopeEncoder:
         return self.dictionary.memory_bytes()
 
     def encode(self, key: bytes) -> EncodedKey:
-        return self.encoder.encode(key)
+        """``key``'s codes; by the per-symbol loop while ``lookup`` is replaced on the
+        dictionary instance (as a lookup counter does)."""
+        return self.dictionary.steps().encode(key)
 
     def compression_rate(self, keys: Sequence[bytes]) -> float:
         """uncompressed bytes / compressed bytes over ``keys``, counting
         compressed keys bit-exact, the microbenchmark CPR definition (§6.1)."""
         orig = sum(map(len, keys))
-        comp_bits = sum(self.encoder.encode(k)[1] for k in keys)
+        comp_bits = sum(self.dictionary.encode(k)[1] for k in keys)
         if orig == 0:
             return 1.0
         return orig / (comp_bits / 8.0) if comp_bits else float("inf")
@@ -96,24 +102,6 @@ def _select_boundaries(kind: str, samples: Sequence[bytes], max_entries: int, fr
     if kind in ("alm", "alm-improved"):
         return ss.select_alm(samples, max_entries, improved=kind == "alm-improved", freqs=freqs)
     raise ValueError(f"unknown selector {kind}")
-
-
-def _test_encode_probabilities(
-    intervals: Sequence[Interval], samples: Sequence[bytes]
-) -> List[float]:
-    """Interval hit counts from test-encoding the samples (§4.2)."""
-    boundaries = [iv.lo for iv in intervals]
-    window = max(len(b) for b in boundaries)
-    symlens = [len(iv.symbol) for iv in intervals]
-    hits = [0] * len(intervals)
-    for key in samples:
-        pos = 0
-        n = len(key)
-        while pos < n:
-            i = bisect_right(boundaries, key[pos : pos + window]) - 1
-            hits[i] += 1
-            pos += symlens[i]
-    return [float(h) for h in hits]
 
 
 def build_hope(
@@ -137,7 +125,7 @@ def build_hope(
         probs = ArrayDict.symbol_hits(samples, width)
     else:
         intervals = build_intervals(_select_boundaries(sel_kind, samples, max_dict_entries, freqs))
-        probs = _test_encode_probabilities(intervals, samples)
+        probs = SortedBoundaryDict.symbol_hits(samples, intervals)
     t1 = time.perf_counter()
 
     if code_kind == "fixed":
@@ -162,7 +150,6 @@ def build_hope(
     return HopeEncoder(
         scheme=scheme,
         dictionary=dictionary,
-        encoder=Encoder(dictionary),
         build_times={
             "symbol_select": t1 - t0,
             "code_assign": t2 - t1,

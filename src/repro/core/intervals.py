@@ -8,7 +8,7 @@ which must be non-empty (dictionary completeness, §3.1). Assigning
 monotonically increasing prefix codes to the intervals yields a
 complete, order-preserving dictionary (§3.1's proof).
 
-``Interval`` carries everything the Dictionary / Encoder modules need.
+``Interval`` carries everything the Dictionary module needs to encode.
 Validators encode the paper's three properties as checks used by the
 tests.
 """

@@ -3,7 +3,8 @@
 This is the reproduction's banded integration point: a built
 ``HopeEncoder`` is applied to a DataFrame key column as a
 ``mapInPandas`` transformation — each partition encodes its keys with
-the shared (closure-captured, pickled) dictionary, exactly the
+the shared dictionary (closure-captured and pickled alone: it encodes
+its own keys, see ``dictionary``), exactly the
 "per-partition transformation on key columns before building in-memory
 trees" the banding hint prescribes.
 
@@ -39,11 +40,11 @@ def encode_df(df: DataFrame, key_col: str, hope: HopeEncoder) -> DataFrame:
         list(df.schema.fields)
         + [StructField("enc_key", BinaryType()), StructField("enc_nbits", IntegerType())]
     )
-    encoder = hope.encoder  # capture only the encoder (dictionary + loop)
+    dictionary = hope.dictionary  # capture only the dictionary, which encodes
     text = isinstance(key_type, StringType)
 
     def encode_partition(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        enc = encoder.encode
+        enc = dictionary.encode
         for pdf in batches:
             encoded = [(None, None) if k is None else enc(k.encode() if text else k) for k in pdf[key_col]]
             pdf = pdf.copy()
@@ -80,6 +81,6 @@ def encoded_range_filter(
     equivalent to filtering on the source keys — the DuckDB oracle
     checks exactly that in the tests.
     """
-    (lo_b, _), (hi_b, _) = hope.encoder.encode_pair(lo, hi)
+    (lo_b, _), (hi_b, _) = hope.dictionary.encode_pair(lo, hi)
     enc_key = F.col("enc_key")
     return encoded.where((enc_key >= F.lit(lo_b)) & (enc_key < F.lit(hi_b)))

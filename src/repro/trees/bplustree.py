@@ -75,11 +75,13 @@ class BPlusTree:
         if values is None:
             values = range(len(keys))
         items = list(zip(keys, values, strict=True))
+        if not isinstance(keys, list):  # so that each leaf's slice is its one copy
+            keys = list(keys)
         fill = FANOUT - 2
         leaves: List[_Leaf] = []
         for i in range(0, len(keys), fill):
             leaf = _Leaf()
-            leaf.keys = list(keys[i : i + fill])
+            leaf.keys = keys[i : i + fill]
             leaf.items = items[i : i + fill]
             if leaves:
                 leaves[-1].next = leaf

@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import List, Sequence
 
-from ..core.strutil import distinct_prefixes, lcp_len
+from ..core.strutil import check_strictly_increasing, distinct_prefixes, lcp_len
 from . import gc_paused
 
 
@@ -44,14 +44,16 @@ class SuRF:
     # -- build -----------------------------------------------------------
     @gc_paused()
     def build(self, keys: Sequence[bytes], values=None) -> None:
-        """Batch-build from sorted unique keys (SuRF is build-once).
+        """Batch-build from sorted unique keys, replacing an earlier build (SuRF is static).
 
         A key is cut one byte past its longest common prefix with either
         neighbour (never past its end), so no other key has the cut
         prefix unless the key is a prefix of it.
         """
         keys = list(keys)
+        check_strictly_increasing(keys)
         self.n_keys = len(keys)
+        self._trunc, self._sufs = [], []
         lcps = [lcp_len(a, b) for a, b in zip(keys, keys[1:])]
         before = [0] + lcps
         after = lcps + [0]

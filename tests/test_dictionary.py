@@ -22,7 +22,6 @@ from repro.core.dictionary import (
     art_trie_bytes,
     bitmap_trie_bytes,
 )
-from repro.core.encoder import Encoder
 from repro.core.hu_tucker import assign_fixed
 from repro.core.intervals import build_intervals, with_codes
 from repro.core.symbol_select import (
@@ -300,9 +299,8 @@ class TestWindowMap:
         assert windows[-1] not in d.windows
         for w in windows[:200] + windows[-200:]:  # stored entries and misses past the cap
             assert d.windows[w] == _predecessor(ivs, w, 0)
-        enc = Encoder(d)
         keys = _random_keys(300, seed=5) + [b"", b"\x00", b"\xff" * 9]
-        assert [enc.encode(k) for k in keys] == [_bisect_encoding(ivs, k) for k in keys]
+        assert [d.encode(k) for k in keys] == [_bisect_encoding(ivs, k) for k in keys]
         assert len(d.windows) == WINDOW_MAP_CAP
 
     @pytest.mark.parametrize("name", sorted(VARIABLE_IVS))
@@ -310,7 +308,7 @@ class TestWindowMap:
         ivs = VARIABLE_IVS[name]
         d = SortedBoundaryDict(ivs, model="art")
         keys = _random_keys(200, seed=7) + SAMPLES[:4]
-        warm = [Encoder(d).encode(k) for k in keys]
+        warm = [d.encode(k) for k in keys]
         assert (d.windows is not None) == (d.max_boundary_len <= 4) == (d.pairs is not None)
         if d.windows is not None:
             assert d.windows and d.pairs
@@ -318,7 +316,7 @@ class TestWindowMap:
         assert blob == pickle.dumps(SortedBoundaryDict(ivs, model="art"), protocol=pickle.HIGHEST_PROTOCOL)
         back = pickle.loads(blob)
         assert back.windows == back.pairs == ({} if d.windows is not None else None)
-        assert [Encoder(back).encode(k) for k in keys] == warm
+        assert [back.encode(k) for k in keys] == warm
         assert back.memory_bytes() == d.memory_bytes()
 
     def test_map_size_is_reported_apart_from_memory_model(self):
@@ -326,7 +324,7 @@ class TestWindowMap:
         model = d.memory_bytes()
         assert d.window_map_size() == {"windows": (0, 0), "pairs": (0, 0)}
         for k in SAMPLES[:4]:
-            Encoder(d).encode(k)
+            d.encode(k)
         sizes = d.window_map_size()
         for name, window in (("windows", b"abc"), ("pairs", b"abcdef")):
             entries, nbytes = sizes[name]

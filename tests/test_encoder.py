@@ -1,4 +1,5 @@
-"""Tests for the Encoder (core/encoder.py): bit assembly + batching."""
+"""Tests for encoding by the dictionaries (core/dictionary.py): bit assembly + batching."""
+import dataclasses
 import functools
 import pickle
 import random
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.core import dictionary
 from repro.core.dictionary import ArrayDict, SortedBoundaryDict
-from repro.core.encoder import Encoder
 from repro.core.hope import build_hope
 from repro.core.hu_tucker import assign_fixed
 from repro.core.intervals import build_intervals, with_codes
@@ -19,24 +19,24 @@ from repro.core.symbol_select import select_single_char
 SAMPLES = [b"com.gmail@alice", b"com.gmail@bob", b"org.wiki@dave"] * 30
 
 
-def _single_char_encoder():
+def _single_char_dict():
     ivs = with_codes(build_intervals(select_single_char(SAMPLES)), assign_fixed(256))
-    return Encoder(SortedBoundaryDict(ivs))
+    return SortedBoundaryDict(ivs)
 
 
 class TestEncodeBits:
     def test_fixed_single_char_is_identity_bytes(self):
-        enc = _single_char_encoder()
+        enc = _single_char_dict()
         payload, nbits = enc.encode(b"ab")
         assert nbits == 16
         assert payload == b"ab"  # 8-bit fixed codes = the bytes themselves
 
     def test_empty_key(self):
-        enc = _single_char_encoder()
+        enc = _single_char_dict()
         assert enc.encode(b"") == (b"", 0)
 
     def test_bit_count_accumulates(self):
-        enc = _single_char_encoder()
+        enc = _single_char_dict()
         _, n1 = enc.encode(b"a")
         _, n5 = enc.encode(b"abcde")
         assert n5 == 5 * n1
@@ -59,7 +59,7 @@ class TestBatchEncoding:
                 for i in range(64)
             }
         )
-        batch = hope.encoder.encode_batch(keys)
+        batch = hope.dictionary.encode_batch(keys)
         indiv = [hope.encode(k) for k in keys]
         assert batch == indiv
 
@@ -67,22 +67,27 @@ class TestBatchEncoding:
     def test_batch_safe_for_alm_too(self, scheme):
         hope = build_hope(scheme, SAMPLES, max_dict_entries=1024)
         keys = sorted({s + bytes([i]) for i, s in enumerate(SAMPLES[:40])})
-        assert hope.encoder.encode_batch(keys) == [hope.encode(k) for k in keys]
+        assert hope.dictionary.encode_batch(keys) == [hope.encode(k) for k in keys]
 
     def test_batch_no_common_prefix(self):
         hope = build_hope("double", SAMPLES)
         keys = [b"apple", b"zebra"]
-        assert hope.encoder.encode_batch(keys) == [hope.encode(k) for k in keys]
+        assert hope.dictionary.encode_batch(keys) == [hope.encode(k) for k in keys]
 
     def test_batch_empty_and_singleton(self):
         hope = build_hope("single", SAMPLES)
-        assert hope.encoder.encode_batch([]) == []
-        assert hope.encoder.encode_batch([b"q"]) == [hope.encode(b"q")]
+        assert hope.dictionary.encode_batch([]) == []
+        assert hope.dictionary.encode_batch([b"q"]) == [hope.encode(b"q")]
 
     def test_pair_encode(self):
         hope = build_hope("double", SAMPLES)
         lo, hi = b"com.gmail@foa", b"com.gmail@fob"
-        assert hope.encoder.encode_pair(lo, hi) == (hope.encode(lo), hope.encode(hi))
+        assert hope.dictionary.encode_pair(lo, hi) == (hope.encode(lo), hope.encode(hi))
+
+    def test_encoder_is_the_dictionary(self):
+        hope = build_hope("3grams", SAMPLES, max_dict_entries=2048)
+        assert hope.encoder is hope.dictionary
+        assert [f.name for f in dataclasses.fields(hope)] == ["scheme", "dictionary", "build_times"]
 
     @pytest.mark.parametrize("scheme", ["double", "3grams"])
     def test_checkpoint_shares_prefix_work(self, scheme):
@@ -90,7 +95,7 @@ class TestBatchEncoding:
         long-shared-prefix batches (that is the whole optimisation)."""
         hope = build_hope(scheme, SAMPLES, max_dict_entries=2048)
         prefix = b"com.gmail@verylongsharedprefix"
-        acc, nbits, consumed = hope.encoder._encode_prefix_checkpoint(hope.dictionary, prefix)
+        acc, nbits, consumed = hope.dictionary._prefix_checkpoint(prefix)
         assert consumed > 0
         maxlen = hope.dictionary.max_boundary_len
         assert len(prefix) - consumed < maxlen + 4
@@ -124,7 +129,7 @@ class TestRandomizedRoundtrip:
     def test_batch_random_sorted_runs(self, scheme):
         hope = build_hope(scheme, SAMPLES, max_dict_entries=1024)
         for run in _runs(99):
-            assert hope.encoder.encode_batch(run) == [hope.encode(k) for k in run], run
+            assert hope.dictionary.encode_batch(run) == [hope.encode(k) for k in run], run
 
     @pytest.mark.parametrize("scheme", ["single", "double"])
     def test_fixed_width_batch_takes_the_gather(self, scheme, monkeypatch):
@@ -137,7 +142,7 @@ class TestRandomizedRoundtrip:
             raise AssertionError("per-symbol lookup")
 
         monkeypatch.setattr(ArrayDict, "lookup", no_lookup)
-        assert [hope.encoder.encode_batch(run) for run in runs] == want
+        assert [hope.dictionary.encode_batch(run) for run in runs] == want
 
 
 _NUL_RICH = [bytes(random.Random(i).choices(b"\x00\x00\x00\x01\xfe\xff", k=i % 17)) for i in range(90)]
@@ -172,7 +177,7 @@ def _reference_encode(d, key):
 
 def _batch_of_one(hope):
     """Encode a key as a batch of one: a checkpoint walk over the whole key, then a resume."""
-    return lambda k: hope.encoder.encode_batch([k])[0]
+    return lambda k: hope.dictionary.encode_batch([k])[0]
 
 
 _KEYS = st.one_of(
@@ -196,12 +201,12 @@ class TestFixedWidthGather:
     def test_gather_equals_lookup_loop(self, scheme, training, key):
         hope = _hope(scheme, training)
         acc, nbits = _reference_bits(hope.dictionary, key)
-        assert hope.encoder.encode(key) == (bits_to_bytes(acc, nbits), nbits)
+        assert hope.dictionary.encode(key) == (bits_to_bytes(acc, nbits), nbits)
 
     @pytest.mark.parametrize("scheme", ["single", "double"])
     def test_pickle_roundtrip(self, scheme):
         hope = _hope(scheme, "text")
-        enc = pickle.loads(pickle.dumps(hope.encoder))
+        enc = pickle.loads(pickle.dumps(hope.dictionary))
         keys = _EDGE_KEYS + [s + b"!" for s in SAMPLES[:4]] + _NUL_RICH
         assert [enc.encode(k) for k in keys] == [hope.encode(k) for k in keys]
         assert b"_heads" not in pickle.dumps(hope.dictionary)  # tables are derived, not pickled
@@ -251,7 +256,7 @@ class TestWindowMap:
         assert len(d.windows) <= sum(map(len, keys))
         assert len(d.pairs) <= sum(map(len, keys))
         run = sorted(keys)
-        assert hope.encoder.encode_batch(run) == [hope.encode(k) for k in run]
+        assert hope.dictionary.encode_batch(run) == [hope.encode(k) for k in run]
 
     @pytest.mark.parametrize("scheme", ["alm", "alm-improved"])
     def test_alm_keeps_plain_bisect(self, scheme):
@@ -275,7 +280,7 @@ class TestWindowMap:
             d.windows.clear()
             d.pairs.clear()
             for _ in range(2):  # cold maps, then warm ones
-                got = hope.encoder.encode_batch(run)
+                got = hope.dictionary.encode_batch(run)
                 assert got == [_reference_encode(d, k) for k in run]
                 assert got == [hope.encode(k) for k in run]
 

@@ -3,6 +3,8 @@ wiring plus the three §3.1 guarantees (completeness, unique
 decodability via prefix codes, order preservation) for every scheme on
 every dataset.
 """
+import hashlib
+import pickle
 import random
 
 import pytest
@@ -96,6 +98,43 @@ class TestSchemeGuarantees:
     def test_encode_deterministic(self, scheme, ds, built):
         hope, keys = built[(scheme, ds)]
         assert hope.encode(keys[0]) == hope.encode(keys[0])
+
+
+# First 16 hex digits of the sha256 of every key's ``(enc_key, nbits)`` and of
+# the pickled dictionary, for the ``built`` fixture (600 keys, seed 11, built on
+# the first 300, 2048 entries). A refactor must leave both byte-identical.
+PINNED_DIGESTS = {
+    ("single", "email"): ("c4f5e2a501453120", "b3598b25c655a26a"),
+    ("single", "wiki"): ("3f5cd29482b070b9", "43961e26f262c1df"),
+    ("single", "url"): ("e469d715fb13514c", "053c39af28e0c5e0"),
+    ("double", "email"): ("a71dcaa5c348ea89", "eb0ebaf5457c34fa"),
+    ("double", "wiki"): ("499e65a8175c1519", "5d1e6082ab399dbf"),
+    ("double", "url"): ("539a6eeda93ee5a1", "ddc39b58e2d2904b"),
+    ("3grams", "email"): ("a9eaab9a05216fab", "1963f3a2c62442c9"),
+    ("3grams", "wiki"): ("f6c63babc47845fe", "008bbecc481a43d0"),
+    ("3grams", "url"): ("5a123f011c1f43c9", "cbe248d66d3b8048"),
+    ("4grams", "email"): ("823b00ff7a3f8984", "45ab8ce0e2cc4273"),
+    ("4grams", "wiki"): ("8c99f649940b071e", "385f00ad0d8c6740"),
+    ("4grams", "url"): ("8ac2375be0b23600", "736e0174f104de03"),
+    ("alm", "email"): ("b17a10b527a2ca2c", "660c88e33b22fb00"),
+    ("alm", "wiki"): ("820cb18d924d743c", "d516f75e94fd300e"),
+    ("alm", "url"): ("c648236e8e3c0148", "2e74a3a37c745415"),
+    ("alm-improved", "email"): ("bd0ffbda2d82182f", "ec06634014ba2c34"),
+    ("alm-improved", "wiki"): ("73c0069a2d4d2a2d", "4fc757e2dd682349"),
+    ("alm-improved", "url"): ("57f7d4037a495598", "dbd94be236696910"),
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("ds", ["email", "wiki", "url"])
+def test_pinned_encoding_digests(scheme, ds, built):
+    hope, keys = built[(scheme, ds)]
+    h = hashlib.sha256()
+    for k in keys:
+        enc, nbits = hope.encode(k)
+        h.update(enc + b"/" + str(nbits).encode() + b";")
+    blob = pickle.dumps(hope.dictionary, protocol=5)
+    assert (h.hexdigest()[:16], hashlib.sha256(blob).hexdigest()[:16]) == PINNED_DIGESTS[(scheme, ds)]
 
 
 class TestCprOrdering:

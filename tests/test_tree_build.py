@@ -1,4 +1,5 @@
-"""Every tree bulk-load runs with the cyclic collector paused and leaves it as it found it."""
+"""Every tree bulk-load runs with the cyclic collector paused and leaves it as it found it,
+replaces any earlier build, and rejects unsorted or duplicate keys."""
 import gc
 
 import pytest
@@ -42,3 +43,28 @@ def test_build_pauses_and_restores_the_collector(tree, gc_state):
     with pytest.raises((ValueError, TypeError)):
         tree().build([b"b", b"a", None])  # unsorted, and not all bytes
     assert gc.isenabled() == gc_state
+
+
+FIRST = [b"a", b"ab", b"b", b"b\x00"]
+SECOND = [b"c", b"ca", b"d"]
+
+
+@pytest.mark.parametrize("tree", TREES, ids=lambda t: t.__name__)
+def test_rebuild_replaces_the_key_set(tree):
+    t = tree()
+    t.build(FIRST)
+    t.build(SECOND)
+    fresh = tree()
+    fresh.build(SECOND)
+    assert t.n_keys == fresh.n_keys == len(SECOND)
+    assert t.memory_bytes() == fresh.memory_bytes()
+    holds = t.may_contain if tree is SuRF else (lambda k: t.lookup(k) is not None)
+    assert not any(map(holds, FIRST))
+    assert all(map(holds, SECOND))
+
+
+@pytest.mark.parametrize("keys", [[b"b", b"a"], [b"a", b"b", b"b"]], ids=["unsorted", "duplicate"])
+@pytest.mark.parametrize("tree", TREES, ids=lambda t: t.__name__)
+def test_build_rejects_unsorted_or_duplicate_keys(tree, keys):
+    with pytest.raises(ValueError):
+        tree().build(keys)
