@@ -28,8 +28,9 @@ def main(n_keys: int = 30_000) -> None:
         hope = None
         if config != "uncompressed":
             hope = build_hope(config, sample, max_dict_entries=1 << 12)
-            tkeys = sorted(hope.encode(k)[0] for k in keys)
-            tneg = [hope.encode(k)[0] for k in negatives]
+            enc = hope.dictionary.encode
+            tkeys = sorted(enc(k)[0] for k in keys)
+            tneg = [enc(k)[0] for k in negatives]
         else:
             tkeys = sorted(keys)
             tneg = list(negatives)

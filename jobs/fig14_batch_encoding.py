@@ -1,16 +1,18 @@
 """Figure 14 (Appendix B) — batch encoding latency vs batch size on a
 pre-sorted email sample (dict 2^16 for the gram schemes).
 
-Each scheme x batch size is timed ``PASSES`` times over all keys and
-reported as the median pass; every pass is kept in the record. One
-record per cell goes to ``results/fig14.jsonl``; the markdown table
-printed on stdout is rendered from those records.
+Each pass over all keys times every batch size of a scheme once, in an
+order rotated from pass to pass, so the batch sizes see the same host
+load; ``PASSES`` passes give each cell its median and interquartile
+range, and every pass is kept in the record. One record per cell goes
+to ``results/fig14.jsonl``; the markdown table printed on stdout is
+rendered from those records.
 
 Usage: spark-submit jobs/fig14_batch_encoding.py [n_keys] > results/fig14.md
 """
 import sys
 import time
-from statistics import median
+from statistics import median, quantiles
 
 import os
 
@@ -23,7 +25,7 @@ from repro.workloads.datasets import email_keys
 SCHEMES = ["single", "double", "3grams", "4grams", "alm", "alm-improved"]
 BATCHES = [1, 2, 32]
 DICT_LIMIT = 1 << 16
-PASSES = 3
+PASSES = 5
 
 
 def _time_pass(hope, keys, batch: int) -> float:
@@ -46,8 +48,12 @@ def main(n_keys: int = 25_000) -> None:
     records = []
     for scheme in SCHEMES:
         hope = build_hope(scheme, sample, max_dict_entries=DICT_LIMIT)
-        for batch in BATCHES:
-            ns_per_char = [_time_pass(hope, keys, batch) / nchars * 1e9 for _ in range(PASSES)]
+        passes = {batch: [] for batch in BATCHES}
+        for p in range(PASSES):
+            for batch in BATCHES[p % len(BATCHES) :] + BATCHES[: p % len(BATCHES)]:
+                passes[batch].append(_time_pass(hope, keys, batch) / nchars * 1e9)
+        for batch, ns_per_char in passes.items():
+            q1, _, q3 = quantiles(ns_per_char, n=4)
             records.append(
                 {
                     "figure": "fig14",
@@ -58,16 +64,18 @@ def main(n_keys: int = 25_000) -> None:
                     "entries": hope.dict_entries,
                     "batch": batch,
                     "ns_per_char": median(ns_per_char),
+                    "ns_per_char_iqr": q3 - q1,
                     "ns_per_char_passes": ns_per_char,
                 }
             )
         print(f"# done {scheme}", file=sys.stderr)
     print(f"# wrote {write_records('fig14', records)}", file=sys.stderr)
-    cells = {(r["scheme"], r["batch"]): r["ns_per_char"] for r in records}
+    cells = {(r["scheme"], r["batch"]): f'{r["ns_per_char"]:.0f} ({r["ns_per_char_iqr"]:.0f})' for r in records}
     print_table(
-        f"Figure 14 — batch encoding latency (ns/char, median of {PASSES} passes), sorted email keys",
+        f"Figure 14 — batch encoding latency (ns/char, median (IQR) of {PASSES} interleaved passes), "
+        "sorted email keys",
         ["scheme"] + [f"batch={b}" for b in BATCHES],
-        [[s] + [round(cells[s, b], 1) for b in BATCHES] for s in SCHEMES],
+        [[s] + [cells[s, b] for b in BATCHES] for s in SCHEMES],
     )
 
 

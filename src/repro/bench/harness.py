@@ -8,7 +8,8 @@ overhead** — that inclusion is the paper's central trade-off. Memory is
 the tree's analytic footprint plus the HOPE dictionary (the paper
 reports "HOPE size included"). A YCSB-E scan is a start key plus a
 count, so only its start key is encoded; SuRF's closed ranges encode
-both bounds with ``encode_pair``.
+each bound. Every held-out key the insert stream takes is encoded once
+and must be found afterwards, or the cell raises.
 
 Encoded tree keys are the zero-padded code bytes alone: HOPE's padded
 codes are injective and order-preserving (proof in ``core.strutil``),
@@ -116,20 +117,18 @@ def run_tree_bench(
     # ---- range queries -------------------------------------------------
     if is_filter:
         ranges = surf_range_queries(load_keys, n_queries, seed)
-        pair = hope.dictionary.encode_pair if hope else None
         t0 = time.perf_counter()
         for lo, hi in ranges:
-            if pair:
-                (lo_b, _), (hi_b, _) = pair(lo, hi)
-            else:
-                lo_b, hi_b = lo, hi
-            tree.may_contain_range(lo_b, hi_b)
+            if enc:
+                lo, hi = enc(lo)[0], enc(hi)[0]
+            tree.may_contain_range(lo, hi)
         res["range_ns"] = (time.perf_counter() - t0) / len(ranges) * 1e9
         res["insert_ns"] = None  # SuRF is batch-built only
     else:
         t_op = {"scan": 0.0, "insert": 0.0}
         n_op = {"scan": 0, "insert": 0}
-        for op, k, slen in workload_e(load_keys, tree_ins, n_queries, seed):
+        ops = workload_e(load_keys, insert_keys, n_queries, seed)
+        for op, k, slen in ops:
             t0 = time.perf_counter()
             tq = enc(k)[0] if enc else k
             if op == "scan":
@@ -140,5 +139,8 @@ def run_tree_bench(
             n_op[op] += 1
         res["range_ns"] = t_op["scan"] / max(1, n_op["scan"]) * 1e9
         res["insert_ns"] = t_op["insert"] / n_op["insert"] * 1e9 if n_op["insert"] else None
+        inserted = [enc(k)[0] if enc else k for op, k, _ in ops if op == "insert"]
+        if len(tree) != len(sorted_keys) + len(inserted) or any(tree.lookup(k) != -1 for k in inserted):
+            raise RuntimeError(f"{tree_name}/{config}: the tree does not hold the inserted keys")
     return res
 

@@ -27,11 +27,9 @@ about one entry per distinct key suffix (tens of MB): ALM keeps ``bisect``.
 
 ``BaseDict.encode_batch`` is the §4.2 batching optimisation: the batch's
 common prefix is encoded once, up to the last dictionary step that stays
-inside it, and each key resumes from that checkpoint. ``encode_pair`` (a
-batch of two) encodes the bounds of a closed range query (Appendix B/D).
-While ``lookup`` is replaced on a dictionary instance (as a counter does),
-``steps`` gives ``BaseDict``'s per-symbol loop over it, which the batch
-methods take; a whole key's ``encode`` on the instance itself does not.
+inside it, and each key resumes from that checkpoint. The paper's
+per-symbol Encoder loop itself is ``hope.HopeEncoder.encode``: one
+``lookup`` per symbol, the reference every ``encode`` here must equal.
 
 The paper's bitmap-trie (3/4-Grams, Figure 6) and ART-based trie
 (ALM*) are 2.3x faster than binary search in C++; in Python an
@@ -107,14 +105,6 @@ class BaseDict:
             pos += symlen
         return acc, nbits, pos
 
-    def steps(self) -> "BaseDict":
-        """This dictionary, or ``BaseDict``'s loop over its instance-replaced ``lookup``."""
-        if "lookup" not in self.__dict__:
-            return self
-        loop = BaseDict()
-        loop.lookup, loop.max_boundary_len = self.lookup, self.max_boundary_len
-        return loop
-
     # -- batched ---------------------------------------------------------
     def _prefix_checkpoint(self, prefix: bytes) -> Resumed:
         """Encode as much of ``prefix`` as is *provably* shared work.
@@ -135,17 +125,12 @@ class BaseDict:
         """Encode keys in any order: each lies between the least and greatest, sharing their prefix."""
         if not keys:
             return []
-        steps = self.steps()
-        acc0, nbits0, consumed = steps._prefix_checkpoint(lcp(min(keys), max(keys)))
+        acc0, nbits0, consumed = self._prefix_checkpoint(lcp(min(keys), max(keys)))
         out: List[EncodedKey] = []
         for k in keys:
-            acc, nbits, _ = steps.resume(k, consumed, len(k), acc0, nbits0)
+            acc, nbits, _ = self.resume(k, consumed, len(k), acc0, nbits0)
             out.append((bits_to_bytes(acc, nbits), nbits))
         return out
-
-    def encode_pair(self, lo: bytes, hi: bytes) -> Tuple[EncodedKey, EncodedKey]:
-        """Pair-encoding for the two boundary keys of a closed-range query."""
-        return tuple(self.encode_batch([lo, hi]))
 
     def window_map_size(self) -> Dict[str, Tuple[int, int]]:
         """(entries, bytes of table and keys) per window map: caches outside the paper's model."""
@@ -221,7 +206,7 @@ class SortedBoundaryDict(BaseDict):
     def _derive(self) -> None:
         mapped = self.max_boundary_len <= WINDOW_MAP_MAX_LEN
         self.windows = _WindowMap(lambda w: self.lookup(w, 0)) if mapped else None
-        self.pairs = _WindowMap(self._two_steps) if mapped else None
+        self.pairs = _WindowMap(self._two_symbols) if mapped else None
 
     def lookup(self, src: bytes, pos: int) -> Lookup:
         i = bisect_right(self.boundaries, src[pos : pos + self.max_boundary_len]) - 1
@@ -229,7 +214,7 @@ class SortedBoundaryDict(BaseDict):
             raise KeyError(f"no interval contains {src[pos:]!r} (incomplete dictionary)")
         return self.values[i]
 
-    def _two_steps(self, window: bytes) -> Lookup:
+    def _two_symbols(self, window: bytes) -> Lookup:
         """``window``'s first two symbols as one lookup, from ``windows`` (never ``bisect``)."""
         windows, span = self.windows, self.max_boundary_len
         code, cbits, used = windows[window[:span]]

@@ -2,7 +2,7 @@
 
 ``build_hope(scheme, samples, max_dict_entries)`` runs the two-module
 build pipeline — Symbol Selector → Code Assigner — and materialises the
-scheme's Dictionary, which also encodes (HOPE's Encoder, see ``dictionary``):
+scheme's Dictionary, which also encodes (see ``dictionary``):
 
 =============  ================  =============  ==============
 Scheme         Symbol Selector   Code Assigner  Dictionary
@@ -25,8 +25,8 @@ from a test encoding of the samples (§4.2), by the dictionary class's
 ``symbol_hits``: variable-interval schemes bisect over their checked
 ``Interval``s as the runtime lookup does; Single/Double-Char, whose layout
 is fixed, count the samples' 1- and 2-byte symbols and build their
-``ArrayDict`` from the codes alone. This module only wires the modules
-together: keys become codes in ``dictionary`` alone.
+``ArrayDict`` from the codes alone. Keys become codes in ``dictionary``,
+except in ``HopeEncoder.encode``: the paper's per-symbol Encoder loop.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from . import symbol_select as ss
 from .dictionary import ArrayDict, BaseDict, EncodedKey, SortedBoundaryDict
 from .hu_tucker import assign_fixed, hu_tucker_codes
 from .intervals import Interval, build_intervals, with_codes
+from .strutil import bits_to_bytes
 
 SCHEMES = ("single", "double", "3grams", "4grams", "alm", "alm-improved")
 
@@ -82,9 +83,10 @@ class HopeEncoder:
         return self.dictionary.memory_bytes()
 
     def encode(self, key: bytes) -> EncodedKey:
-        """``key``'s codes; by the per-symbol loop while ``lookup`` is replaced on the
-        dictionary instance (as a lookup counter does)."""
-        return self.dictionary.steps().encode(key)
+        """HOPE's Encoder (§4.2): one ``dictionary.lookup`` per symbol, an instance-replaced
+        ``lookup`` (a counter) included. The reference for the dictionary's faster ``encode``."""
+        acc, nbits, _ = BaseDict.resume(self.dictionary, key, 0, len(key), 0, 0)
+        return bits_to_bytes(acc, nbits), nbits
 
     def compression_rate(self, keys: Sequence[bytes]) -> float:
         """uncompressed bytes / compressed bytes over ``keys``, counting

@@ -76,11 +76,10 @@ def encoded_range_filter(
 ) -> DataFrame:
     """Closed-open range ``[lo, hi)`` evaluated purely in the encoded domain.
 
-    The query bounds are pair-encoded (§4.2 batching, batch size 2) and
-    compared against ``enc_key`` alone. Order preservation makes this
-    equivalent to filtering on the source keys — the DuckDB oracle
-    checks exactly that in the tests.
+    Each query bound is encoded by the dictionary and compared against
+    ``enc_key`` alone. Order preservation makes this equivalent to
+    filtering on the source keys — the DuckDB oracle checks exactly that
+    in the tests.
     """
-    (lo_b, _), (hi_b, _) = hope.dictionary.encode_pair(lo, hi)
-    enc_key = F.col("enc_key")
-    return encoded.where((enc_key >= F.lit(lo_b)) & (enc_key < F.lit(hi_b)))
+    enc, enc_key = hope.dictionary.encode, F.col("enc_key")
+    return encoded.where((enc_key >= F.lit(enc(lo)[0])) & (enc_key < F.lit(enc(hi)[0])))

@@ -23,6 +23,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from .ycsb import zipf_draw
+
 DATASETS = ("email", "wiki", "url")
 
 _SYL_ONSET = ["b", "c", "d", "f", "g", "h", "j", "k", "l", "m", "n", "p", "r", "s", "t", "v", "w", "z",
@@ -31,12 +33,8 @@ _SYL_NUCLEUS = ["a", "e", "i", "o", "u", "ai", "ea", "ou", "io", "ee"]
 _SYL_CODA = ["", "", "n", "r", "s", "t", "l", "m", "ng", "rd", "st", "ck", "tion", "ing", "er", "on"]
 
 
-def _zipf_choice(g: np.random.Generator, items: List[str], n: int, alpha: float = 1.3) -> np.ndarray:
-    ranks = np.arange(1, len(items) + 1, dtype=np.float64)
-    w = ranks ** (-alpha)
-    w /= w.sum()
-    idx = g.choice(len(items), size=n, p=w)
-    return np.asarray(items, dtype=object)[idx]
+def _zipf_choice(g: np.random.Generator, items: List[str], n: int, alpha: float = 1.3) -> List[str]:
+    return [items[i] for i in zipf_draw(g, len(items), n, alpha).tolist()]
 
 
 def _vocab(g: np.random.Generator, size: int) -> List[str]:

@@ -5,6 +5,7 @@ The paper uses YCSB workloads C (read-only point queries) and E
 distribution, replacing YCSB's keys 1-to-1 with the dataset keys so
 the Zipf rank structure is preserved. We reproduce exactly that:
 
+* ``zipf_draw``     — Zipf ranks as ``Generator.choice`` draws them, CDF cached;
 * ``zipf_indices``  — Zipfian ranks over the loaded key population
   (YCSB's scrambled-Zipf theta ~= 0.99 by default);
 * ``workload_c``    — point lookups on dataset keys;
@@ -17,6 +18,7 @@ Everything is deterministic in ``seed``.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -25,16 +27,27 @@ ZIPF_THETA = 0.99
 MAX_SCAN_LEN = 100
 
 
+@lru_cache(maxsize=16)
+def _zipf_cdf(n: int, alpha: float) -> np.ndarray:
+    w = np.arange(1, n + 1, dtype=np.float64) ** (-alpha)
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False  # one cached array serves every caller
+    return cdf
+
+
+def zipf_draw(g: np.random.Generator, n: int, size: int, alpha: float) -> np.ndarray:
+    """``size`` ranks in [0, n), rank r drawn with weight (r+1)^-alpha: draw for draw
+    ``g.choice(n, size, p=weights)``, whose inverse-CDF search this is."""
+    return _zipf_cdf(n, alpha).searchsorted(g.random(size), side="right")
+
+
 def zipf_indices(n_keys: int, n_queries: int, seed: int, theta: float = ZIPF_THETA) -> np.ndarray:
     """Zipfian ranks in [0, n_keys), scrambled over the key space."""
     g = np.random.default_rng(seed)
-    ranks = np.arange(1, n_keys + 1, dtype=np.float64)
-    w = ranks ** (-theta)
-    w /= w.sum()
-    idx = g.choice(n_keys, size=n_queries, p=w)
+    idx = zipf_draw(g, n_keys, n_queries, theta)
     # scramble rank -> key position so hot keys are spread over the axis
-    perm = g.permutation(n_keys)
-    return perm[idx]
+    return g.permutation(n_keys)[idx]
 
 
 def workload_c(keys: Sequence[bytes], n_queries: int, seed: int = 0) -> List[bytes]:

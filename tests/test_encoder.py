@@ -80,9 +80,10 @@ class TestBatchEncoding:
         assert hope.dictionary.encode_batch([b"q"]) == [hope.encode(b"q")]
 
     def test_pair_encode(self):
+        """Pair encoding (Appendix B) is a batch of two."""
         hope = build_hope("double", SAMPLES)
         lo, hi = b"com.gmail@foa", b"com.gmail@fob"
-        assert hope.dictionary.encode_pair(lo, hi) == (hope.encode(lo), hope.encode(hi))
+        assert hope.dictionary.encode_batch([lo, hi]) == [hope.encode(lo), hope.encode(hi)]
 
     def test_encoder_is_the_dictionary(self):
         hope = build_hope("3grams", SAMPLES, max_dict_entries=2048)
@@ -175,11 +176,6 @@ def _reference_encode(d, key):
     return bits_to_bytes(acc, nbits), nbits
 
 
-def _batch_of_one(hope):
-    """Encode a key as a batch of one: a checkpoint walk over the whole key, then a resume."""
-    return lambda k: hope.dictionary.encode_batch([k])[0]
-
-
 _KEYS = st.one_of(
     st.binary(max_size=80),
     st.lists(st.sampled_from(b"\x00\x01\xfe\xffa"), max_size=41).map(bytes),
@@ -208,7 +204,7 @@ class TestFixedWidthGather:
         hope = _hope(scheme, "text")
         enc = pickle.loads(pickle.dumps(hope.dictionary))
         keys = _EDGE_KEYS + [s + b"!" for s in SAMPLES[:4]] + _NUL_RICH
-        assert [enc.encode(k) for k in keys] == [hope.encode(k) for k in keys]
+        assert [enc.encode(k) for k in keys] == [hope.dictionary.encode(k) for k in keys]
         assert b"_heads" not in pickle.dumps(hope.dictionary)  # tables are derived, not pickled
 
     @pytest.mark.parametrize("scheme,width", [("single", 1), ("double", 2)])
@@ -216,7 +212,7 @@ class TestFixedWidthGather:
         hope = _hope(scheme, "nul")
         d = hope.dictionary
         keys = _EDGE_KEYS + _NUL_RICH + SAMPLES[:4]
-        gathered = [hope.encode(k) for k in keys]
+        gathered = [d.encode(k) for k in keys]
         calls = 0
 
         def counting(src, pos):
@@ -226,11 +222,10 @@ class TestFixedWidthGather:
 
         d.lookup = counting
         try:
-            for encode in (hope.encode, _batch_of_one(hope)):
-                for k, want in zip(keys, gathered):
-                    before = calls
-                    assert encode(k) == want
-                    assert calls - before == -(-len(k) // width)
+            for k, want in zip(keys, gathered):
+                before = calls
+                assert hope.encode(k) == want
+                assert calls - before == -(-len(k) // width)
         finally:
             del d.lookup
 
@@ -252,7 +247,7 @@ class TestWindowMap:
         d.pairs.clear()
         want = [_reference_encode(d, k) for k in keys]
         for _ in range(2):  # cold maps, then the same keys over the warm maps
-            assert [hope.encode(k) for k in keys] == want
+            assert [d.encode(k) for k in keys] == want
         assert len(d.windows) <= sum(map(len, keys))
         assert len(d.pairs) <= sum(map(len, keys))
         run = sorted(keys)
@@ -282,7 +277,7 @@ class TestWindowMap:
             for _ in range(2):  # cold maps, then warm ones
                 got = hope.dictionary.encode_batch(run)
                 assert got == [_reference_encode(d, k) for k in run]
-                assert got == [hope.encode(k) for k in run]
+                assert got == [d.encode(k) for k in run]
 
     @pytest.mark.parametrize("scheme", ["3grams", "4grams"])
     def test_pair_map_past_cap_takes_no_bisect(self, scheme, monkeypatch):
@@ -293,7 +288,7 @@ class TestWindowMap:
         want = [_reference_encode(d, k) for k in keys]
         d.windows.clear()
         d.pairs.clear()
-        assert [hope.encode(k) for k in keys] == want  # warms ``windows`` under the full cap
+        assert [d.encode(k) for k in keys] == want  # warms ``windows`` under the full cap
         d.pairs.clear()
         monkeypatch.setattr(dictionary, "WINDOW_MAP_CAP", 8)
         calls = 0
@@ -306,18 +301,18 @@ class TestWindowMap:
 
         monkeypatch.setattr(SortedBoundaryDict, "lookup", counting)
         for _ in range(2):
-            assert [hope.encode(k) for k in keys] == want
+            assert [d.encode(k) for k in keys] == want
             assert len(d.pairs) == 8
         assert calls == 0
 
     @pytest.mark.parametrize("scheme", ["3grams", "4grams", "alm", "alm-improved"])
     def test_instance_lookup_is_called_per_symbol(self, scheme):
-        """A counter on the instance sees one call per symbol, as
-        ``perfbench/measure.lookups_per_key`` relies on; the map is bypassed."""
+        """A counter on the instance sees one call per symbol of ``hope.encode``, as
+        ``perfbench/measure.lookups_per_key`` relies on; the maps are bypassed."""
         hope = _hope(scheme, "nul")
         d = hope.dictionary
         keys = _EDGE_KEYS + _NUL_RICH + SAMPLES[:4]
-        want = [hope.encode(k) for k in keys]
+        want = [d.encode(k) for k in keys]
         if d.windows is not None:
             d.windows.clear()
             d.pairs.clear()
@@ -330,11 +325,10 @@ class TestWindowMap:
 
         d.lookup = counting
         try:
-            for encode in (hope.encode, _batch_of_one(hope)):
-                for k, w in zip(keys, want):
-                    before = calls
-                    assert encode(k) == w
-                    assert calls - before == _reference_steps(d, k)[2]
+            for k, w in zip(keys, want):
+                before = calls
+                assert hope.encode(k) == w
+                assert calls - before == _reference_steps(d, k)[2]
         finally:
             del d.lookup
         assert not d.windows

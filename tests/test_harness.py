@@ -3,8 +3,10 @@ structural expectations (compressed trees are shorter; CPR > 1; memory
 accounting sane)."""
 import pytest
 
+from repro.bench import harness
 from repro.bench.harness import CONFIGS, TREES, make_tree, run_tree_bench
 from repro.workloads.datasets import dataset_keys
+from repro.workloads.ycsb import workload_e
 
 KEYS = dataset_keys("email", 2500, seed=41)
 
@@ -49,6 +51,47 @@ class TestConfigTable:
         assert r["insert_ns"] is None  # SuRF is batch-built
 
 
+def _keep(monkeypatch, name):
+    """Replace ``harness.<name>`` by a wrapper that keeps every object it returns."""
+    made, make = [], getattr(harness, name)
+
+    def keep(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(harness, name, keep)
+    return made
+
+
+@pytest.mark.parametrize("config", ["double", "3grams-64K"])
+@pytest.mark.parametrize("tree", [t for t in TREES if t != "surf"])
+def test_insert_stream_loads_encoded_source_keys(tree, config, monkeypatch):
+    """Each held-out key the E stream inserts is in the tree as ``enc(k)``, once."""
+    trees, hopes = _keep(monkeypatch, "make_tree"), _keep(monkeypatch, "build_hope")
+    r = run_tree_bench(tree, config, KEYS, n_queries=600)
+    n_hold = len(KEYS) - r["n_keys"]
+    ops = workload_e(KEYS[:-n_hold], KEYS[-n_hold:], 600, 0)
+    inserted = [k for op, k, _ in ops if op == "insert"]
+    assert len(inserted) > 10
+    [t], [hope] = trees, hopes
+    assert [t.lookup(hope.dictionary.encode(k)[0]) for k in inserted] == [-1] * len(inserted)
+    assert len(t) == r["n_keys"] + len(inserted)
+
+
+def test_lost_insert_raises(monkeypatch):
+    """A tree that drops an insert fails the cell instead of timing it."""
+    real, calls = harness.BPlusTree.insert, []
+
+    def insert(self, key, value):  # drops every second key
+        calls.append(key)
+        if len(calls) % 2:
+            real(self, key, value)
+
+    monkeypatch.setattr(harness.BPlusTree, "insert", insert)
+    with pytest.raises(RuntimeError, match="inserted keys"):
+        run_tree_bench("btree", "double", KEYS, n_queries=600)
+
+
 @pytest.mark.parametrize("config", ["uncompressed", "single"])
 @pytest.mark.parametrize("tree", TREES)
 @pytest.mark.parametrize(
@@ -61,3 +104,32 @@ def test_duplicate_key_raises(tree, config, keys):
     both copies are loaded or one is held back for the insert stream."""
     with pytest.raises(ValueError, match="not strictly increasing"):
         run_tree_bench(tree, config, keys, n_queries=20)
+
+
+# ``run_tree_bench``'s non-time fields on ``KEYS`` (200 queries): n_keys,
+# tree_memory_bytes, memory_bytes, height, cpr, point_hit_rate. A change to the
+# harness must leave each of them equal.
+PINNED_FIELDS = ("n_keys", "tree_memory_bytes", "memory_bytes", "height", "cpr", "point_hit_rate")
+PINNED_CELLS = {
+    ("surf", "uncompressed"): (2375, 9861, 9861, 18.286315789473683, 1.0, 1.0),
+    ("surf", "double"): (2375, 8176, 337136, 8.642105263157895, 1.824157668023839, 1.0),
+    ("surf", "3grams-64K"): (2375, 8320, 46235, 8.150736842105264, 1.798109640831758, 1.0),
+    ("art", "uncompressed"): (2375, 98128, 98128, 7.893052631578947, 1.0, 1.0),
+    ("art", "double"): (2375, 94044, 423004, 6.656, 1.824157668023839, 1.0),
+    ("art", "3grams-64K"): (2375, 99364, 137279, 6.768, 1.798109640831758, 1.0),
+    ("hot", "uncompressed"): (2375, 55246, 55246, 3.873684210526316, 1.0, 1.0),
+    ("hot", "double"): (2375, 55168, 384128, 3.624, 1.824157668023839, 1.0),
+    ("hot", "3grams-64K"): (2375, 55220, 93135, 3.7701052631578946, 1.798109640831758, 1.0),
+    ("btree", "uncompressed"): (2375, 108932, 108932, None, 1.0, 1.0),
+    ("btree", "double"): (2375, 80998, 409958, None, 1.824157668023839, 1.0),
+    ("btree", "3grams-64K"): (2375, 81489, 119404, None, 1.798109640831758, 1.0),
+    ("prefixbtree", "uncompressed"): (2375, 87742, 87742, None, 1.0, 1.0),
+    ("prefixbtree", "double"): (2375, 73479, 402439, None, 1.824157668023839, 1.0),
+    ("prefixbtree", "3grams-64K"): (2375, 75253, 113168, None, 1.798109640831758, 1.0),
+}
+
+
+@pytest.mark.parametrize("tree,config", list(PINNED_CELLS))
+def test_pinned_non_time_fields(tree, config):
+    r = run_tree_bench(tree, config, KEYS, n_queries=200)
+    assert tuple(r[f] for f in PINNED_FIELDS) == PINNED_CELLS[tree, config]

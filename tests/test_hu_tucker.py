@@ -212,5 +212,5 @@ def test_golden_codes_and_encodings(scheme, dataset):
     keys = dataset_keys(dataset, GOLDEN_KEYS)
     hope = build_hope(scheme, keys, max_dict_entries=4096)
     codes = hu_tucker_codes(_test_encode_weights(hope, keys))
-    encoded = [(iv.code, iv.nbits) for iv in hope.intervals], [hope.encode(k) for k in keys]
+    encoded = [(iv.code, iv.nbits) for iv in hope.intervals], [hope.dictionary.encode(k) for k in keys]
     assert (_sha(codes), _sha(encoded)) == GOLDEN[scheme, dataset]

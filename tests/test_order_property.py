@@ -28,8 +28,8 @@ class TestOrderTheorem:
     @settings(max_examples=150, deadline=None)
     def test_pairwise_order(self, scheme, a, b):
         hope = _hope(scheme)
-        ka = hope.encode(a)[0]
-        kb = hope.encode(b)[0]
+        ka = hope.dictionary.encode(a)[0]
+        kb = hope.dictionary.encode(b)[0]
         if a < b:
             assert ka < kb
         elif a > b:
@@ -42,7 +42,7 @@ class TestOrderTheorem:
     def test_total_progress(self, scheme, k):
         """Completeness: encoding terminates and consumes every byte."""
         hope = _hope(scheme)
-        payload, nbits = hope.encode(k)
+        payload, nbits = hope.dictionary.encode(k)
         assert nbits >= 1
         # decode-ability sanity: bit count consistent with payload length
         assert (nbits + 7) // 8 == len(payload)
@@ -76,7 +76,7 @@ class TestPaddedBytesOrder:
         hope = _nul_hope(scheme, entries)
         samples = _nul_rich_samples(entries)
         keys = {b""} | {k + ext for k in samples for ext in (b"", b"\x00", b"\x00\x00", b"\xff")}
-        padded = [hope.encode(k)[0] for k in sorted(keys)]
+        padded = [hope.dictionary.encode(k)[0] for k in sorted(keys)]
         assert all(a < b for a, b in zip(padded, padded[1:]))
 
     @given(a=_NUL_RICH, b=_NUL_RICH, extend=st.booleans())
@@ -86,7 +86,7 @@ class TestPaddedBytesOrder:
         if extend:
             b = a + b[:2]
         hope = _nul_hope(scheme, entries)
-        pa, pb = hope.encode(a)[0], hope.encode(b)[0]
+        pa, pb = hope.dictionary.encode(a)[0], hope.dictionary.encode(b)[0]
         assert (pa < pb) == (a < b)
         assert (pa == pb) == (a == b)
 
@@ -138,6 +138,6 @@ def _decode(table, padded):
 @settings(max_examples=150, deadline=None)
 def test_padded_bytes_decode_to_key(scheme, training, k):
     hope, table = _trained(scheme, training)
-    padded, nbits = hope.encode(k)
+    padded, nbits = hope.dictionary.encode(k)
     assert len(padded) == -(-nbits // 8)
     assert _decode(table, padded) == k

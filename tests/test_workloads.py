@@ -1,4 +1,6 @@
 """Tests for datasets + YCSB workload generation (workloads/)."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.workloads.ycsb import (
     surf_range_queries,
     workload_c,
     workload_e,
+    zipf_draw,
     zipf_indices,
 )
 
@@ -70,6 +73,17 @@ class TestZipf:
         assert (a == b).all()
         assert a.min() >= 0 and a.max() < 1000
 
+    @pytest.mark.parametrize("n,size,alpha", [(1, 5, 1.3), (20, 500, 1.1), (2000, 3, 1.3), (6000, 1000, 0.99)])
+    def test_draw_equals_generator_choice(self, n, size, alpha):
+        """``zipf_draw`` is ``Generator.choice`` with Zipf weights, draw for draw,
+        and leaves the generator in the same state."""
+        w = np.arange(1, n + 1, dtype=np.float64) ** (-alpha)
+        w /= w.sum()
+        ref, g = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(2):  # the second call takes the cached CDF
+            assert zipf_draw(g, n, size, alpha).tolist() == ref.choice(n, size=size, p=w).tolist()
+        assert g.random() == ref.random()
+
     def test_skew(self):
         idx = zipf_indices(10_000, 50_000, seed=2)
         _, counts = np.unique(idx, return_counts=True)
@@ -104,3 +118,37 @@ class TestWorkloads:
     def test_workload_determinism(self):
         keys = [b"k%03d" % i for i in range(100)]
         assert workload_c(keys, 100, seed=5) == workload_c(keys, 100, seed=5)
+
+
+def _digest(items) -> str:
+    h = hashlib.sha256()
+    for it in items:
+        h.update(repr(it).encode() + b";")
+    return h.hexdigest()[:16]
+
+
+# First 16 hex digits of the sha256 of the generated keys (3,000, seed 5), of a
+# ``workload_c`` stream and of a ``workload_e`` stream over them (2,000 ops,
+# seed 3, the last 150 keys held out for inserts). A change to the samplers
+# must leave every key and every op byte-identical.
+PINNED_STREAMS = {
+    "email": ("2db7a222652d20fb", "5b69b47f2e6d3aca", "d6f5814570451222"),
+    "wiki": ("40c8a3eab288133e", "3a7d7c0edc40a002", "f352a86c44c943a1"),
+    "url": ("a7187d9339c30125", "0119ce6e7b8d884b", "066db50ef2855a14"),
+}
+
+
+@pytest.mark.parametrize("name", DATASETS)
+def test_pinned_key_and_stream_digests(name):
+    keys = dataset_keys(name, 3000, seed=5)
+    got = (
+        _digest(keys),
+        _digest(workload_c(keys, 2000, seed=3)),
+        _digest(workload_e(keys[:2850], keys[2850:], 2000, seed=3)),
+    )
+    assert got == PINNED_STREAMS[name]
+
+
+def test_pinned_zipf_digest():
+    """The index stream at the scale of the benchmark's scan/insert workload."""
+    assert _digest(zipf_indices(48000, 300001, 7).tolist()) == "1d22bd921b4a3d7a"
