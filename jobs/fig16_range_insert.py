@@ -25,7 +25,7 @@ TREES = tuple(t for t in harness.TREES if t != "surf")
 def main(n_keys: int = 15_000) -> None:
     cells = [(ds, n_keys, tree, config) for ds in ("email", "wiki") for tree in TREES for config in CONFIGS]
     spark = get_spark("fig16")
-    records = run_cells(spark, "fig16", cells, key_seed=16, n_queries=1200, seed=3)
+    records = run_cells(spark, "fig16", cells, key_seed=16, n_queries=12_000, seed=3)
     spark.stop()
     print(f"# wrote {write_records('fig16', records)}", file=sys.stderr)
     print_table(

@@ -9,7 +9,11 @@ the tree's analytic footprint plus the HOPE dictionary (the paper
 reports "HOPE size included"). A YCSB-E scan is a start key plus a
 count, so only its start key is encoded; SuRF's closed ranges encode
 each bound. Every held-out key the insert stream takes is encoded once
-and must be found afterwards, or the cell raises.
+and must be found afterwards. Every op's result is checked after its
+timed stream: a point lookup returns the loaded value (a filter, True),
+a scan the next keys of a sorted-list oracle that also takes the
+inserts, a SuRF range that starts at a loaded key is not empty. A wrong
+result fails the cell with ``RuntimeError``.
 
 Encoded tree keys are the zero-padded code bytes alone: HOPE's padded
 codes are injective and order-preserving (proof in ``core.strutil``),
@@ -19,6 +23,7 @@ asserts.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, insort
 from typing import Any, Dict, Optional, Sequence
 
 from ..core.hope import HopeEncoder, build_hope
@@ -100,47 +105,63 @@ def run_tree_bench(
         "cpr": (sum(map(len, load_keys)) / max(1, sum(map(len, tree_load)))) if hope else 1.0,
     }
 
+    # Every op's result is checked after its timed stream, against the encoded keys.
+    enc_of = dict(zip(keys, tree_load + tree_ins))
+
+    def fail(what: str):
+        raise RuntimeError(f"{tree_name}/{config}: {what}")
+
     # ---- point queries (YCSB C) ---------------------------------------
     point_qs = workload_c(load_keys, n_queries, seed)
     is_filter = tree_name == "surf"
+    probe = tree.may_contain if is_filter else tree.lookup
     t0 = time.perf_counter()
-    hits = 0
-    for q in point_qs:
-        tq = enc(q)[0] if enc else q
-        if is_filter:
-            hits += tree.may_contain(tq)
-        else:
-            hits += tree.lookup(tq) is not None
+    got = [probe(enc(q)[0] if enc else q) for q in point_qs]
     res["point_ns"] = (time.perf_counter() - t0) / len(point_qs) * 1e9
-    res["point_hit_rate"] = hits / len(point_qs)
+    res["point_hit_rate"] = (sum(got) if is_filter else sum(g is not None for g in got)) / len(point_qs)
+    # a filter has no false negatives; a tree returns the loaded value, the key's rank
+    want = [True] * len(point_qs) if is_filter else [bisect_left(sorted_keys, enc_of[q]) for q in point_qs]
+    if got != want:
+        fail("a point lookup does not return the loaded value")
 
     # ---- range queries -------------------------------------------------
     if is_filter:
         ranges = surf_range_queries(load_keys, n_queries, seed)
         t0 = time.perf_counter()
+        nonempty = []
         for lo, hi in ranges:
             if enc:
                 lo, hi = enc(lo)[0], enc(hi)[0]
-            tree.may_contain_range(lo, hi)
+            nonempty.append(tree.may_contain_range(lo, hi))
         res["range_ns"] = (time.perf_counter() - t0) / len(ranges) * 1e9
         res["insert_ns"] = None  # SuRF is batch-built only
+        if not all(nonempty):  # each range starts at a loaded key
+            fail("a range holding a loaded key is reported empty")
     else:
         t_op = {"scan": 0.0, "insert": 0.0}
         n_op = {"scan": 0, "insert": 0}
         ops = workload_e(load_keys, insert_keys, n_queries, seed)
+        results = []
         for op, k, slen in ops:
             t0 = time.perf_counter()
             tq = enc(k)[0] if enc else k
-            if op == "scan":
-                tree.scan(tq, slen)
-            else:
-                tree.insert(tq, -1)
+            got = tree.scan(tq, slen) if op == "scan" else tree.insert(tq, -1)
             t_op[op] += time.perf_counter() - t0
             n_op[op] += 1
+            results.append(got)
         res["range_ns"] = t_op["scan"] / max(1, n_op["scan"]) * 1e9
         res["insert_ns"] = t_op["insert"] / n_op["insert"] * 1e9 if n_op["insert"] else None
-        inserted = [enc(k)[0] if enc else k for op, k, _ in ops if op == "insert"]
+        inserted = [enc_of[k] for op, k, _ in ops if op == "insert"]
         if len(tree) != len(sorted_keys) + len(inserted) or any(tree.lookup(k) != -1 for k in inserted):
-            raise RuntimeError(f"{tree_name}/{config}: the tree does not hold the inserted keys")
+            fail("the tree does not hold the inserted keys")
+        # each scan returns the keys a sorted-list oracle holds at that point of the stream
+        oracle = list(sorted_keys)
+        for (op, k, slen), got in zip(ops, results):
+            tq = enc_of[k]
+            if op == "insert":
+                insort(oracle, tq)
+                continue
+            i = bisect_left(oracle, tq)
+            if [key for key, _ in got] != oracle[i : i + slen]:
+                fail(f"a scan of {slen} keys from {tq!r} does not return the next keys in order")
     return res
-

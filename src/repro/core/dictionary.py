@@ -11,7 +11,7 @@ from a position onto a running big-int accumulator (the paper's chain of
 ``lookup`` loop, and each runtime structure overrides them:
 
 * ``ArrayDict`` (Single/Double-Char): one O(1) array probe per symbol;
-  symbols have a fixed width, so a run of them is one C-level gather;
+  symbols have a fixed width, so a run of them is one table gather;
 * ``SortedBoundaryDict`` (3/4-Grams, ALM, ALM-Improved): one C ``bisect``
   over the sorted boundaries, on a window of the suffix no longer than
   the longest boundary.
@@ -272,7 +272,9 @@ class ArrayDict(BaseDict):
     The layout is fixed, so the dictionary is built from codes alone. A
     key is consumed ``width`` bytes at a time, with a 1-byte tail when a
     width-2 key has odd length, so ``code_string`` gathers a run of symbols'
-    codes from tables of '0'/'1' strings, parsed once by ``encode``/``resume``;
+    codes from tables of '0'/'1' strings by one list comprehension (over
+    the bytes, or at width 2 over the byte pairs cast to ``uint16``),
+    joined and parsed once by ``encode``/``resume``;
     ``symbol_hits`` counts a sample's symbols by the same split. The tables
     are derived from ``codes``/``nbits``: rebuilt on unpickling, not pickled.
     ``lookup`` remains the per-symbol form of the same mapping.
@@ -337,15 +339,16 @@ class ArrayDict(BaseDict):
     def code_string(self, src: bytes, pos: int, end: int) -> str:
         """The codes of the symbols of ``src[pos:end]`` as one '0'/'1' string; at width
         2, ``pos`` is even and ``end`` even or the key's odd end (its 1-byte tail)."""
+        heads = self._heads
         if self.width == 1:
-            return "".join(map(self._heads.__getitem__, src[pos:end]))
-        s = "".join(map(self._heads.__getitem__, memoryview(src)[pos : end & ~1].cast("H")))
+            return "".join([heads[b] for b in src[pos:end]])
+        s = "".join([heads[u] for u in memoryview(src)[pos : end & ~1].cast("H")])
         return s + self._tails[src[-1]] if end & 1 else s
 
     def encode(self, src: bytes) -> EncodedKey:
         s = self.code_string(src, 0, len(src))
         nbits = len(s)
-        return int(s + "0" * (-nbits % 8) or "0", 2).to_bytes((nbits + 7) // 8, "big"), nbits
+        return (int(s or "0", 2) << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big"), nbits
 
     def resume(self, src: bytes, pos: int, stop: int, acc: int, nbits: int) -> Resumed:
         # The symbol starting before ``stop`` may end past it, but not past the key.

@@ -18,14 +18,17 @@ Each Python inner node keeps one ``label -> child`` dict: its size picks
 the charged layout. The dict is kept in label order, the prefix-key
 label ``TERM`` (-1) before every byte, so a scan walks it as it is.
 
-``build`` bulk-loads strictly increasing keys top-down: the node over a
-key range takes the common prefix of the range's first and last key,
-the key that ends there hangs under ``TERM``, and each byte's child
-range ends at a ``bisect``. ``insert`` gives the same tree one key at a
-time: every split, in a compressed path or at a leaf, is one step, in
-which a new node takes the common prefix (``strutil.lcp_len``) and the
-old child and the new leaf hang below it by their next byte, or by
-``TERM`` where one of them ends.
+``build`` bulk-loads strictly increasing keys in one pass. It keeps the
+inner nodes on the previous key's path on a stack, with their full
+paths; the next key pops the nodes whose path it does not start with,
+then either hangs below the deepest node left, or splits the edge below
+it at the two keys' common prefix (``strutil.lcp_len``). Every node is
+made once and every label added in order, with no recursion and no
+``bisect``.
+``insert`` gives the same tree one key at a time: every split, in a
+compressed path or at a leaf, is one step, in which a new node takes the
+common prefix and the old child and the new leaf hang below it by their
+next byte, or by ``TERM`` where one of them ends.
 
 ``lookup`` is the hot path: it compares no bytes at a node with an
 empty compressed path (most nodes), only the stored pessimistic bytes
@@ -37,7 +40,6 @@ Figures 10/12 track.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.dictionary import art_node_bytes
@@ -60,9 +62,10 @@ class _ArtNode:
 
     A label is the next key byte, or ``TERM`` for the key that ends at
     this node. ``children`` is kept in label order (``TERM`` first):
-    ``build`` adds labels in order, a split adds its two labels smaller
-    first, and ``insert`` re-sorts the dict when a new label is not the
-    largest. Scans walk ``children.items()`` as it is.
+    a split adds its two labels smaller first, ``build`` then adds each
+    later label after them (its keys arrive sorted), and ``insert``
+    re-sorts the dict when a new label is not the largest. Scans walk
+    ``children.items()`` as it is.
     """
 
     __slots__ = ("prefix", "children")
@@ -93,32 +96,46 @@ class ART:
         """Bulk-load strictly increasing keys, replacing the tree's contents.
 
         The result is node for node the tree that inserting the keys
-        one by one, in any order, gives.
+        one by one, in any order, gives. ``values`` (default ``0..n-1``)
+        must be as long as ``keys``.
         """
         check_strictly_increasing(keys)
         if values is None:
             values = range(len(keys))
+        elif len(values) != len(keys):
+            raise ValueError(f"{len(values)} values for {len(keys)} keys")
         self.n_keys = len(keys)
-        self.root = self._build(keys, values, 0, len(keys), 0) if keys else None
-
-    def _build(self, keys: Sequence[bytes], values: Sequence[Any], lo: int, hi: int, depth: int):
-        """The subtree over ``keys[lo:hi]``, which share their first ``depth`` bytes."""
-        first = keys[lo]
-        if hi - lo == 1:
-            return _ArtLeaf(first, values[lo])
-        end = depth + lcp_len(first[depth:], keys[hi - 1][depth:])
-        node = _ArtNode(first[depth:end])
-        children = node.children
-        if len(first) == end:  # sorts first: a prefix of every other key in the range
-            children[TERM] = _ArtLeaf(first, values[lo])
-            lo += 1
-        stem = first[:end]
-        while lo < hi:
-            b = keys[lo][end]
-            mid = hi if b == 0xFF else bisect_left(keys, stem + bytes((b + 1,)), lo, hi)
-            children[b] = self._build(keys, values, lo, mid, end + 1)
-            lo = mid
-        return node
+        self.root = None
+        if not keys:
+            return
+        pairs = zip(keys, values)
+        prev, value = next(pairs)
+        self.root = last = _ArtLeaf(prev, value)
+        nodes: List[_ArtNode] = []  # the inner nodes on prev's path, root first
+        paths: List[bytes] = []  # the full path of each: a prefix of prev
+        for key, value in pairs:
+            below = last  # prev's subtree under the deepest node on key's path
+            while paths and not key.startswith(paths[-1]):
+                paths.pop()
+                below = nodes.pop()
+            e = len(paths[-1]) if paths else 0
+            last = _ArtLeaf(key, value)
+            if paths and (len(prev) == e or prev[e] != key[e]):  # key branches off at nodes[-1]
+                nodes[-1].children[key[e]] = last
+            else:  # key leaves prev's path at d, inside the edge to ``below``: split it there
+                d = e + lcp_len(prev[e:], key[e:])
+                start = e + 1 if paths else 0  # where ``below``'s compressed path starts
+                node = _ArtNode(prev[start:d])
+                if below.__class__ is _ArtNode:
+                    below.prefix = below.prefix[d + 1 - start :]
+                node.children = {prev[d] if len(prev) > d else TERM: below, key[d]: last}
+                if nodes:
+                    nodes[-1].children[prev[e]] = node
+                else:
+                    self.root = node
+                nodes.append(node)
+                paths.append(prev[:d])
+            prev = key
 
     def insert(self, key: bytes, value: Any) -> None:
         if self.root is None:

@@ -23,8 +23,9 @@ are opaque (8-byte pointers in the memory model).
 
 At run time a leaf holds its sorted ``keys`` (for ``bisect``) and, in
 step with them, ``items``: one ``(key, value)`` slot per key, as a TLX
-leaf slot pairs a key pointer with a value pointer. ``scan`` returns
-slices of ``items`` as they are, so it builds no tuple per key. The
+leaf slot pairs a key pointer with a value pointer. ``scan`` copies the
+slots it returns as they are, so it builds no tuple per key: one slice of
+the first leaf, every whole leaf between, one slice of the last. The
 memory model above reads only ``keys``: a 256-byte node already pays
 for each slot's key and value pointers.
 """
@@ -123,13 +124,23 @@ class BPlusTree:
         return None
 
     def scan(self, start: bytes, count: int) -> List[Tuple[bytes, Any]]:
-        leaf = self._find_leaf(start)
-        out: List[Tuple[bytes, Any]] = []
-        i = bisect_left(leaf.keys, start)
-        while leaf is not None and len(out) < count:
-            out += leaf.items[i : i + count - len(out)]
-            leaf = leaf.next
-            i = 0
+        if count <= 0:  # a negative count would slice from the end
+            return []
+        node = self.root
+        while node.__class__ is _Inner:
+            node = node.children[bisect_right(node.keys, start)]
+        i = bisect_left(node.keys, start)
+        out = node.items[i : i + count]
+        count -= len(out)
+        node = node.next
+        while count and node is not None:
+            items = node.items
+            if len(items) > count:  # the last leaf
+                out += items[:count]
+                break
+            out += items
+            count -= len(items)
+            node = node.next
         return out
 
     # -- insert ----------------------------------------------------------

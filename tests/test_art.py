@@ -306,6 +306,14 @@ class TestBulkLoad:
         t.build([])
         assert (len(t), t.root, t.scan(b"", 5)) == (0, None, [])
 
+    @pytest.mark.parametrize("n_values", [1, 3])
+    def test_rejects_values_of_another_length(self, n_values):
+        t = ART()
+        t.build([b"a"], ["x"])
+        with pytest.raises(ValueError, match="values for 2 keys"):
+            t.build([b"a", b"b"], list(range(n_values)))
+        assert (len(t), t.lookup(b"a")) == (1, "x")  # the old contents stay
+
     @pytest.mark.parametrize("keys", [[b"b", b"a"], [b"a", b"b", b"b"], [b"ab", b"a"]], ids=["unsorted", "duplicate", "prefix-after"])
     def test_rejects_not_strictly_increasing(self, keys):
         with pytest.raises(ValueError, match="strictly increasing"):

@@ -80,12 +80,15 @@ class TestScan:
         rng = random.Random(7)
         starts = [bytes(rng.randrange(97, 123) for _ in range(4)) for _ in range(100)]
         starts += [k + b"\x00" for k in keys[::97]]  # strictly between two keys
-        starts += keys[::89] + [b"", keys[-1]]
+        starts += keys[::89] + [b"", keys[-1], keys[-1] + b"\x00"]  # the last: past every key
+        assert len(list(_leaves(grown))) > len(list(_leaves(t)))  # inserts split leaves
         for tree in (t, grown):
-            for count in (0, 1, 14, 15, 25, 100, len(keys) + 1):
+            # a negative count is no count; 25 and more cross >= 3 leaves of <= 16 slots
+            for count in (-5, -1, 0, 1, 14, 15, 25, 100, len(keys) + 1):
                 for start in starts:
                     i = bisect_left(keys, start)
-                    exp = list(zip(keys[i : i + count], range(i, i + count)))
+                    n = max(0, count)
+                    exp = list(zip(keys[i : i + n], range(i, i + n)))
                     assert tree.scan(start, count) == exp
 
     def test_scan_from_start(self, loaded):
@@ -100,6 +103,14 @@ class TestScan:
         t, keys = loaded
         got = [k for k, _ in t.scan(keys[0], 100)]
         assert got == keys[:100]
+
+    def test_result_is_a_fresh_list(self, loaded):
+        """Mutating what a scan returned leaves the tree's leaves as they were."""
+        t, keys = loaded
+        for count in (1, 14, 100):  # within the first leaf, all of it, across leaves
+            out = t.scan(keys[0], count)
+            out.clear()
+            assert t.scan(keys[0], count) == list(zip(keys[:count], range(count)))
 
 
 class TestInsert:

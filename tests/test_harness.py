@@ -92,6 +92,22 @@ def test_lost_insert_raises(monkeypatch):
         run_tree_bench("btree", "double", KEYS, n_queries=600)
 
 
+def test_short_scan_raises(monkeypatch):
+    """A tree whose scan drops its last pair fails the cell instead of timing it."""
+    real = harness.PrefixBPlusTree.scan
+    monkeypatch.setattr(harness.PrefixBPlusTree, "scan", lambda self, start, count: real(self, start, count)[:-1])
+    with pytest.raises(RuntimeError, match="a scan of"):
+        run_tree_bench("prefixbtree", "double", KEYS, n_queries=200)
+
+
+def test_wrong_point_value_raises(monkeypatch):
+    """A lookup that finds the key but returns another value fails the cell."""
+    real = harness.ART.lookup
+    monkeypatch.setattr(harness.ART, "lookup", lambda self, key: real(self, key) + 1)
+    with pytest.raises(RuntimeError, match="loaded value"):
+        run_tree_bench("art", "3grams-64K", KEYS, n_queries=200)
+
+
 @pytest.mark.parametrize("config", ["uncompressed", "single"])
 @pytest.mark.parametrize("tree", TREES)
 @pytest.mark.parametrize(
