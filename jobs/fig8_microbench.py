@@ -24,7 +24,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _common import get_spark, print_table, write_records
 
 from repro.core.hope import build_hope
-from repro.core.spark_select import gram_freqs, suffix_freqs
+from repro.core.spark_select import gram_freqs, substring_freqs, suffix_freqs
 from repro.workloads.datasets import dataset_keys, keys_df
 
 DICT_SIZES = {
@@ -57,6 +57,8 @@ def main(n_keys: int = 30_000) -> None:
                 freqs = gram_freqs(sample_df, "key", 3)
             elif scheme == "4grams":
                 freqs = gram_freqs(sample_df, "key", 4)
+            elif scheme == "alm":
+                freqs = substring_freqs(sample_df, "key")
             elif scheme == "alm-improved":
                 freqs = suffix_freqs(sample_df, "key")
             for size in sizes:

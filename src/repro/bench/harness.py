@@ -92,6 +92,7 @@ def run_tree_bench(
     t0 = time.perf_counter()
     tree.build(sorted_keys, list(range(len(sorted_keys))))
     t_load = time.perf_counter() - t0
+    tree_memory = tree.memory_bytes()
 
     res: Dict[str, Any] = {
         "tree": tree_name,
@@ -99,8 +100,8 @@ def run_tree_bench(
         "n_keys": len(sorted_keys),
         "build_hope_s": t_build,
         "load_s": t_load,
-        "tree_memory_bytes": tree.memory_bytes(),
-        "memory_bytes": tree.memory_bytes() + (hope.dict_memory_bytes() if hope else 0),
+        "tree_memory_bytes": tree_memory,
+        "memory_bytes": tree_memory + (hope.dict_memory_bytes() if hope else 0),
         "height": tree.avg_leaf_depth() if hasattr(tree, "avg_leaf_depth") else None,
         "cpr": (sum(map(len, load_keys)) / max(1, sum(map(len, tree_load)))) if hope else 1.0,
     }

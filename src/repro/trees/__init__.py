@@ -14,3 +14,12 @@ def gc_paused():
     finally:
         if enabled:
             gc.enable()
+
+
+def values_for(keys, values):
+    """A bulk-load's values: ``0..n-1`` when None, else ``values``, which must be as long as ``keys``."""
+    if values is None:
+        return range(len(keys))
+    if len(values) != len(keys):
+        raise ValueError(f"{len(values)} values for {len(keys)} keys")
+    return values

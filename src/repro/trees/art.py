@@ -16,7 +16,8 @@ A byte-wise radix tree with:
 
 Each Python inner node keeps one ``label -> child`` dict: its size picks
 the charged layout. The dict is kept in label order, the prefix-key
-label ``TERM`` (-1) before every byte, so a scan walks it as it is.
+label ``TERM`` (-1) before every byte, so a scan stacks it as it is,
+reversed.
 
 ``build`` bulk-loads strictly increasing keys in one pass. It keeps the
 inner nodes on the previous key's path on a stack, with their full
@@ -25,10 +26,11 @@ then either hangs below the deepest node left, or splits the edge below
 it at the two keys' common prefix (``strutil.lcp_len``). Every node is
 made once and every label added in order, with no recursion and no
 ``bisect``.
-``insert`` gives the same tree one key at a time: every split, in a
-compressed path or at a leaf, is one step, in which a new node takes the
-common prefix and the old child and the new leaf hang below it by their
-next byte, or by ``TERM`` where one of them ends.
+``insert`` gives the same tree one key at a time, in one descent: every
+split, in a compressed path or at a leaf, is one step, in which a new
+node takes the common prefix and the old child and the new leaf hang
+below it by their next byte, or by ``TERM`` where one of them ends.
+No method recurses, so a key may be as long as memory allows.
 
 ``lookup`` is the hot path: it compares no bytes at a node with an
 empty compressed path (most nodes), only the stored pessimistic bytes
@@ -40,11 +42,11 @@ Figures 10/12 track.
 """
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.dictionary import art_node_bytes
 from ..core.strutil import check_strictly_increasing, lcp_len
-from . import gc_paused
+from . import gc_paused, values_for
 
 PESSIMISTIC_BYTES = 8
 LEAF_BYTES = 8
@@ -64,8 +66,8 @@ class _ArtNode:
     this node. ``children`` is kept in label order (``TERM`` first):
     a split adds its two labels smaller first, ``build`` then adds each
     later label after them (its keys arrive sorted), and ``insert``
-    re-sorts the dict when a new label is not the largest. Scans walk
-    ``children.items()`` as it is.
+    re-sorts the dict when a new label is not the largest. Scans read
+    ``children`` in this order.
     """
 
     __slots__ = ("prefix", "children")
@@ -100,10 +102,7 @@ class ART:
         must be as long as ``keys``.
         """
         check_strictly_increasing(keys)
-        if values is None:
-            values = range(len(keys))
-        elif len(values) != len(keys):
-            raise ValueError(f"{len(values)} values for {len(keys)} keys")
+        values = values_for(keys, values)
         self.n_keys = len(keys)
         self.root = None
         if not keys:
@@ -138,49 +137,52 @@ class ART:
             prev = key
 
     def insert(self, key: bytes, value: Any) -> None:
+        """Insert ``key`` or update its value, in one descent that keeps the
+        parent and label of the child a split replaces."""
         if self.root is None:
-            self.root = _ArtLeaf(key, value)
-            self.n_keys = 1
+            self.root, self.n_keys = _ArtLeaf(key, value), 1
             return
-        self.root = self._insert(self.root, key, 0, value)
-
-    def _insert(self, node: Any, key: bytes, depth: int, value: Any):
-        rest = key[depth:]
-        if isinstance(node, _ArtLeaf):
-            if node.key == key:
-                node.value = value
-                return node
-            path = node.key[depth:]
-        else:
+        parent = label = None
+        node, depth = self.root, 0
+        while node.__class__ is _ArtNode:
             path = node.prefix
-        i = lcp_len(path, rest)
-        if isinstance(node, _ArtNode) and i == len(path):
+            i = lcp_len(path, key[depth:])
+            if i < len(path):  # key leaves the compressed path: split it
+                break
             depth += i
             label = key[depth] if depth < len(key) else TERM
             children = node.children
             child = children.get(label)
-            if child is not None:
-                children[label] = self._insert(child, key, depth + (0 if label == TERM else 1), value)
-                return node
-            last = next(reversed(children))
-            children[label] = _ArtLeaf(key, value)
-            if label < last:
-                node.children = dict(sorted(children.items()))
-            self.n_keys += 1
-            return node
-        # diverges inside the compressed path or at the leaf -> split
+            if child is None:
+                last = next(reversed(children))
+                children[label] = _ArtLeaf(key, value)
+                if label < last:
+                    node.children = dict(sorted(children.items()))
+                self.n_keys += 1
+                return
+            parent, node, depth = node, child, depth + 1
+        if node.__class__ is _ArtLeaf:
+            if node.key == key:
+                node.value = value
+                return
+            path = node.key[depth:]
+            i = lcp_len(path, key[depth:])
+        # split: a new node takes the common prefix, old and new hang below it
         new = _ArtNode(path[:i])
         old_label = path[i] if i < len(path) else TERM
-        new_label = rest[i] if i < len(rest) else TERM
-        if isinstance(node, _ArtNode):
+        new_label = key[depth + i] if depth + i < len(key) else TERM
+        if node.__class__ is _ArtNode:
             node.prefix = path[i + 1 :]
         leaf = _ArtLeaf(key, value)
         if old_label < new_label:
             new.children = {old_label: node, new_label: leaf}
         else:
             new.children = {new_label: leaf, old_label: node}
+        if parent is None:
+            self.root = new
+        else:
+            parent.children[label] = new
         self.n_keys += 1
-        return new
 
     # -- queries ---------------------------------------------------------
     def lookup(self, key: bytes) -> Optional[Any]:
@@ -208,75 +210,66 @@ class ART:
             return node.value
         return None
 
-    def _iter_from(self, node: Any, key: bytes, depth: int) -> Iterator[_ArtLeaf]:
-        """Leaves with key >= ``key``, in order, within ``node``'s subtree."""
-        if isinstance(node, _ArtLeaf):
-            if node.key >= key:
-                yield node
-            return
-        # descend along the key; every subtree under a greater label follows in full
-        rest = key[depth:]
-        prefix = node.prefix
-        i = lcp_len(prefix, rest)
-        if i < len(prefix):  # all of the subtree is >= key, or all of it is < key
-            if i == len(rest) or prefix[i] > rest[i]:
-                yield from self._iter_all(node)
-            return
-        depth += i
-        label = key[depth] if depth < len(key) else TERM
-        for l, child in node.children.items():
-            if l == label:
-                yield from self._iter_from(child, key, depth + (0 if l == TERM else 1))
-            elif l > label:
-                yield from self._iter_all(child)
-
-    def _iter_all(self, node: Any) -> Iterator[_ArtLeaf]:
-        if isinstance(node, _ArtLeaf):
-            yield node
-            return
-        for child in node.children.values():
-            yield from self._iter_all(child)
-
     def scan(self, start: bytes, count: int) -> List[Tuple[bytes, Any]]:
-        out: List[Tuple[bytes, Any]] = []
-        if self.root is None:
-            return out
-        for leaf in self._iter_from(self.root, start, 0):
-            out.append((leaf.key, leaf.value))
-            if len(out) >= count:
+        """Up to ``count`` (key, value) pairs with key >= ``start``, in key order.
+
+        One descent along ``start`` stacks every subtree that lies wholly at
+        or above it: the children under greater labels, or a node whose
+        compressed path already passes ``start``. Deeper subtrees are
+        smaller, so the stack pops them in key order.
+        """
+        stack: List[Any] = []
+        node, depth, n = self.root, 0, len(start)
+        while node.__class__ is _ArtNode:
+            prefix = node.prefix
+            i = lcp_len(prefix, start[depth:])
+            if i < len(prefix):  # all of the subtree is above start, or all of it below
+                if depth + i == n or prefix[i] > start[depth + i]:
+                    stack.append(node)
+                node = None
                 break
+            depth += i
+            label = start[depth] if depth < n else TERM
+            for l, child in reversed(node.children.items()):
+                if l <= label:
+                    break
+                stack.append(child)
+            node = node.children.get(label)
+            depth += 1
+        if node is not None and node.key >= start:
+            stack.append(node)
+        out: List[Tuple[bytes, Any]] = []
+        while stack and len(out) < count:
+            node = stack.pop()
+            if node.__class__ is _ArtLeaf:
+                out.append((node.key, node.value))
+            else:
+                stack.extend(reversed(node.children.values()))
         return out
 
     # -- accounting ------------------------------------------------------
-    def memory_bytes(self) -> int:
-        total = 0
-        stack = [self.root] if self.root is not None else []
-        while stack:
-            n = stack.pop()
-            if isinstance(n, _ArtLeaf):
-                total += LEAF_BYTES
-                continue
-            total += art_node_bytes(len(n.children))
-            # pessimistic prefix bytes live in the 16B header (<=8);
-            # longer prefixes are skipped, not stored (OCPS).
-            stack.extend(n.children.values())
-        return total
-
-    def avg_leaf_depth(self) -> float:
-        if self.root is None:
-            return 0.0
-        total = 0
-        count = 0
-        stack = [(self.root, 1)]
+    def _accounting(self) -> Tuple[int, float]:
+        """(memory_bytes, avg_leaf_depth), from one walk of the tree."""
+        memory = depth_sum = leaves = 0
+        stack = [(self.root, 1)] if self.root is not None else []
         while stack:
             n, d = stack.pop()
-            if isinstance(n, _ArtLeaf):
-                total += d
-                count += 1
+            if n.__class__ is _ArtLeaf:
+                memory += LEAF_BYTES
+                depth_sum += d
+                leaves += 1
             else:
-                for c in n.children.values():
-                    stack.append((c, d + 1))
-        return total / max(1, count)
+                # pessimistic prefix bytes live in the 16B header (<=8);
+                # longer prefixes are skipped, not stored (OCPS).
+                memory += art_node_bytes(len(n.children))
+                stack.extend((c, d + 1) for c in n.children.values())
+        return memory, depth_sum / max(1, leaves)
+
+    def memory_bytes(self) -> int:
+        return self._accounting()[0]
+
+    def avg_leaf_depth(self) -> float:
+        return self._accounting()[1]
 
     def __len__(self) -> int:
         return self.n_keys

@@ -35,7 +35,7 @@ from bisect import bisect_left, bisect_right
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.strutil import check_strictly_increasing, lcp, lcp_len
-from . import gc_paused
+from . import gc_paused, values_for
 
 NODE_BYTES = 256
 FANOUT = 16
@@ -73,9 +73,7 @@ class BPlusTree:
         ``values`` (default ``0..n-1``) must be as long as ``keys``.
         """
         check_strictly_increasing(keys)
-        if values is None:
-            values = range(len(keys))
-        items = list(zip(keys, values, strict=True))
+        items = list(zip(keys, values_for(keys, values)))
         if not isinstance(keys, list):  # so that each leaf's slice is its one copy
             keys = list(keys)
         fill = FANOUT - 2
@@ -192,22 +190,21 @@ class BPlusTree:
         return None
 
     # -- accounting ------------------------------------------------------
-    def _walk_nodes(self):
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            yield n
-            if isinstance(n, _Inner):
-                stack.extend(n.children)
-
     def memory_bytes(self) -> int:
-        nodes = 0
-        key_bytes = 0
-        for n in self._walk_nodes():
-            nodes += 1
-            if isinstance(n, _Leaf):
-                key_bytes += sum(len(k) for k in n.keys)
-        return nodes * NODE_BYTES + key_bytes
+        inner, leaves = self._levels()
+        return (inner + len(leaves)) * NODE_BYTES + self._key_bytes(leaves)
+
+    def _levels(self) -> Tuple[int, List[_Leaf]]:
+        """(number of inner nodes, the leaves in key order), walking level by level."""
+        inner, level = 0, [self.root]
+        while level[0].__class__ is _Inner:
+            inner += len(level)
+            level = [c for n in level for c in n.children]
+        return inner, level
+
+    @staticmethod
+    def _key_bytes(leaves: List[_Leaf]) -> int:
+        return sum(len(k) for leaf in leaves for k in leaf.keys)
 
     def __len__(self) -> int:
         return self.n_keys
@@ -228,22 +225,14 @@ class PrefixBPlusTree(BPlusTree):
         i = lcp_len(left_max, right_min)
         return right_min[: i + 1] if i < len(right_min) else right_min
 
-    def memory_bytes(self) -> int:
-        nodes = 0
-        key_bytes = 0
-        for n in self._walk_nodes():
-            nodes += 1
-            if isinstance(n, _Leaf):
-                prefix = lcp(n.keys[0], n.keys[-1]) if n.keys else b""
-                key_bytes += len(prefix) + sum(len(k) - len(prefix) for k in n.keys)
-            else:
-                for j, sep in enumerate(n.keys):
-                    left_max = self._max_key(n.children[j])
-                    key_bytes += len(self.shortest_separator(left_max, sep))
-        return nodes * NODE_BYTES + key_bytes
-
-    @staticmethod
-    def _max_key(node: Any) -> bytes:
-        while isinstance(node, _Inner):
-            node = node.children[-1]
-        return node.keys[-1] if node.keys else b""
+    def _key_bytes(self, leaves: List[_Leaf]) -> int:
+        """Each leaf's common prefix once plus its suffixes, and one separator
+        per adjacent leaf pair: under bulk-load and splits alike, each
+        separator is the first key of the right leaf of one pair."""
+        total = 0
+        for leaf in leaves:
+            prefix = lcp(leaf.keys[0], leaf.keys[-1]) if leaf.keys else b""
+            total += len(prefix) + sum(len(k) - len(prefix) for k in leaf.keys)
+        for left, right in zip(leaves, leaves[1:]):
+            total += len(self.shortest_separator(left.keys[-1], right.keys[0]))
+        return total

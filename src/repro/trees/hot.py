@@ -23,10 +23,10 @@ distinct keys has a well-defined discriminative bit.
 """
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.strutil import check_strictly_increasing, lcp_len
-from . import gc_paused
+from . import gc_paused, values_for
 
 MAX_COMPOUND_FANOUT = 32
 _COMPOUND_LEVELS = 5  # 2^5 = 32
@@ -74,6 +74,17 @@ class _PNode:
         self.max_key: bytes = b""
 
 
+def _close(path: List[_PNode], below: Any, last: bytes, p: int) -> Any:
+    """Pop the nodes of ``path`` that branch at a bit after ``p``, deepest
+    first, each taking the subtree so far as its right child and ``last``
+    as its ``max_key``; return the subtree they form."""
+    while path and path[-1].bitpos > p:
+        node = path.pop()
+        node.right, node.max_key = below, last
+        below = node
+    return below
+
+
 class HOT:
     """Simplified Height Optimized Trie over ``bytes`` keys."""
 
@@ -84,28 +95,30 @@ class HOT:
     # -- build -----------------------------------------------------------
     @gc_paused()
     def build(self, keys: Sequence[bytes], values: Optional[Sequence[Any]] = None) -> None:
-        """Bulk-load *sorted unique* keys into a balanced Patricia trie."""
-        check_strictly_increasing(keys)
-        if values is None:
-            values = list(range(len(keys)))
-        self.n_keys = len(keys)
-        self.root = self._build(list(keys), list(values)) if keys else None
+        """Bulk-load strictly increasing keys, replacing the tree's contents.
 
-    def _build(self, keys: List[bytes], values: List[Any]) -> Any:
-        if len(keys) == 1:
-            return _PLeaf(keys[0], values[0])
-        p = first_diff_bit(keys[0], keys[-1])
-        # keys sorted and agreeing on all bits < p: 0-side is a prefix run
-        lo, hi = 0, len(keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if key_bit(keys[mid], p) == 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        node = _PNode(p, self._build(keys[:lo], values[:lo]), self._build(keys[lo:], values[lo:]))
-        node.max_key = keys[-1]
-        return node
+        The Patricia trie is the Cartesian tree of the adjacent keys'
+        ``first_diff_bit``s: the smallest bit of a key range splits it.
+        One pass keeps the rightmost path on a stack; each node gets its
+        right child and ``max_key`` when it leaves the stack. ``values``
+        (default ``0..n-1``) must be as long as ``keys``.
+        """
+        check_strictly_increasing(keys)
+        values = values_for(keys, values)
+        self.n_keys = len(keys)
+        self.root = None
+        if not keys:
+            return
+        pairs = zip(keys, values)
+        prev, value = next(pairs)
+        below: Any = _PLeaf(prev, value)  # the subtree that ends at prev, below the path
+        path: List[_PNode] = []  # root first, bit positions increasing; no right child yet
+        for key, value in pairs:
+            p = first_diff_bit(prev, key)
+            below = _close(path, below, prev, p)
+            path.append(_PNode(p, below, None))
+            below, prev = _PLeaf(key, value), key
+        self.root = _close(path, below, prev, -1)
 
     # -- insert ----------------------------------------------------------
     def insert(self, key: bytes, value: Any) -> None:
@@ -132,7 +145,7 @@ class HOT:
             went_right = bool(key_bit(key, cur.bitpos))
             cur = cur.right if went_right else cur.left
         merged = _PNode(p, cur, new_leaf) if key_bit(key, p) else _PNode(p, new_leaf, cur)
-        merged.max_key = max(key, self._subtree_max(cur))
+        merged.max_key = max(key, cur.max_key if cur.__class__ is _PNode else cur.key)
         if parent is None:
             self.root = merged
         elif went_right:
@@ -140,12 +153,6 @@ class HOT:
         else:
             parent.left = merged
         self.n_keys += 1
-
-    @staticmethod
-    def _subtree_max(node: Any) -> bytes:
-        while isinstance(node, _PNode):
-            node = node.right
-        return node.key
 
     # -- queries ---------------------------------------------------------
     def lookup(self, key: bytes) -> Optional[Any]:
@@ -157,24 +164,19 @@ class HOT:
         # branching points only -> verify against the record's full key
         return node.value if node.key == key else None
 
-    def _iter_from(self, node: Any, start: bytes) -> Iterator[_PLeaf]:
-        if isinstance(node, _PLeaf):
-            if node.key >= start:
-                yield node
-            return
-        if node.max_key < start:
-            return
-        yield from self._iter_from(node.left, start)
-        yield from self._iter_from(node.right, start)
-
     def scan(self, start: bytes, count: int) -> List[Tuple[bytes, Any]]:
+        """Up to ``count`` (key, value) pairs with key >= ``start``, in key
+        order: a stack walk, left child on top, that skips every subtree
+        whose ``max_key`` is below ``start``."""
         out: List[Tuple[bytes, Any]] = []
-        if self.root is None:
-            return out
-        for leaf in self._iter_from(self.root, start):
-            out.append((leaf.key, leaf.value))
-            if len(out) >= count:
-                break
+        stack = [self.root] if self.root is not None else []
+        while stack and len(out) < count:
+            node = stack.pop()
+            if node.__class__ is _PNode:
+                if node.max_key >= start:
+                    stack += (node.right, node.left)
+            elif node.key >= start:
+                out.append((node.key, node.value))
         return out
 
     # -- compound packing (memory + height model) ------------------------

@@ -149,3 +149,11 @@ PINNED_CELLS = {
 def test_pinned_non_time_fields(tree, config):
     r = run_tree_bench(tree, config, KEYS, n_queries=200)
     assert tuple(r[f] for f in PINNED_FIELDS) == PINNED_CELLS[tree, config]
+
+
+def test_memory_read_once_per_cell(monkeypatch):
+    """A cell reads the tree's memory figure once: for HOT each read is a full walk."""
+    real, calls = harness.HOT.memory_bytes, []
+    monkeypatch.setattr(harness.HOT, "memory_bytes", lambda self: calls.append(self) or real(self))
+    run_tree_bench("hot", "uncompressed", KEYS, n_queries=50)
+    assert len(calls) == 1

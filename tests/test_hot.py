@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.trees.hot import HOT, MAX_COMPOUND_FANOUT, first_diff_bit, key_bit
 
@@ -165,3 +167,35 @@ class TestCompoundStats:
         a.build([b"a" + b"x" * 100, b"b" + b"y" * 100])
         b.build([b"a", b"b"])
         assert a.memory_bytes() == b.memory_bytes()
+
+
+_KEY = st.one_of(st.binary(max_size=12), st.lists(st.sampled_from(b"\x00\x01\xfe\xff"), max_size=10).map(bytes))
+
+
+class TestReference:
+    """Lookup and scan against a dict and a sorted list, on arbitrary binary
+    keys half bulk-loaded and half inserted; accounting against a fresh bulk-load."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(keys=st.lists(_KEY, unique=True, max_size=60), probes=st.lists(_KEY, max_size=20))
+    @example(keys=[b"", b"a", b"ab", b"abc", b"b", b"\x00", b"\x00\x00", b"\xff", b"\xff\xff\x00"], probes=[b"aa"])
+    @example(keys=[b"abc", b"ab", b"abd", b"", b"a"], probes=[b"abcd", b"b"])
+    @example(keys=[b"", b"\x00"], probes=[b"\xff"])
+    def test_matches_references(self, keys, probes):
+        half = len(keys) // 2
+        bulk = sorted(keys[:half])
+        t = HOT()
+        t.build(bulk, [k + b"!" for k in bulk])
+        for k in keys[half:]:  # the other half arrives by insert, in hypothesis order
+            t.insert(k, k + b"!")
+        ref = sorted(keys)
+        assert len(t) == len(ref)
+        for k in keys + probes:
+            assert t.lookup(k) == (k + b"!" if k in keys else None)
+        between = [k + b"\x00" for k in ref] + [k[:-1] for k in ref]
+        for start in ref + between + probes + [b""]:
+            want = [(k, k + b"!") for k in ref if k >= start][:7]
+            assert t.scan(start, 7) == want
+        fresh = HOT()
+        fresh.build(ref)
+        assert (t.memory_bytes(), t.avg_leaf_depth()) == (fresh.memory_bytes(), fresh.avg_leaf_depth())
