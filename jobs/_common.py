@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Iterable, Sequence
 
-from repro.bench.harness import run_tree_bench
+from repro.bench.harness import STREAMS, run_tree_bench
 from repro.workloads.datasets import dataset_keys
 
 os.environ.setdefault(
@@ -37,18 +37,21 @@ def get_spark(app: str):
     return s
 
 
-def run_cells(spark, figure: str, cells: Sequence[tuple], *, key_seed: int, n_queries: int, seed: int) -> list[dict]:
+def run_cells(spark, figure: str, cells: Sequence[tuple], *, key_seed: int, n_queries: int, seed: int,
+              streams: Sequence[str] = tuple(STREAMS)) -> list[dict]:
     """Run each ``(dataset, n_keys, tree, config)`` cell as one Spark task.
 
     A task generates its own keys (``dataset_keys(dataset, n_keys,
-    seed=key_seed)``) and runs ``run_tree_bench`` on them. The records
-    come back in cell order: the ``run_tree_bench`` dict plus ``figure``
-    and ``dataset``. ``spark`` is the caller's session; it is left running.
+    seed=key_seed)``) and runs ``run_tree_bench`` on them with the op
+    ``streams`` its figure reports. The records come back in cell order:
+    the ``run_tree_bench`` dict plus ``figure`` and ``dataset``. ``spark``
+    is the caller's session; it is left running.
     """
     def run(cell):
         ds, n_keys, tree, config = cell
         keys = dataset_keys(ds, n_keys, seed=key_seed)
-        return {"figure": figure, "dataset": ds, **run_tree_bench(tree, config, keys, n_queries=n_queries, seed=seed)}
+        rec = run_tree_bench(tree, config, keys, n_queries=n_queries, seed=seed, streams=streams)
+        return {"figure": figure, "dataset": ds, **rec}
 
     return spark.sparkContext.parallelize(cells, len(cells)).map(run).collect()
 

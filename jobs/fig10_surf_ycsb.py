@@ -8,10 +8,10 @@ wall-clock in ways the C++ implementation does not (see
 EXPERIMENTS.md).
 
 Each (dataset, config) cell is one Spark task (``_common.run_cells``).
-The modeled column is computed after the collect, against the trie
-height of the dataset's uncompressed cell. One record per cell goes to
-``results/fig10.jsonl``; the markdown table printed on stdout is
-rendered from those records.
+The modeled column is computed after the collect, from each record's
+``mean_key_len`` and the trie height of the dataset's uncompressed
+cell. One record per cell goes to ``results/fig10.jsonl``; the markdown
+table printed on stdout is rendered from those records.
 
 Usage: spark-submit jobs/fig10_surf_ycsb.py [n_keys] > results/fig10.md
 """
@@ -23,24 +23,17 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _common import get_spark, modeled_latency_reduction, print_table, run_cells, write_records
 
 from repro.bench.harness import CONFIGS
-from repro.workloads.datasets import dataset_keys
-
-KEY_SEED = 10
 
 
 def main(n_keys: int = 30_000) -> None:
     nk = {"email": n_keys, "wiki": n_keys, "url": n_keys // 3}
     cells = [(ds, n, "surf", config) for ds, n in nk.items() for config in CONFIGS]
     spark = get_spark("fig10")
-    records = run_cells(spark, "fig10", cells, key_seed=KEY_SEED, n_queries=2000, seed=1)
+    records = run_cells(spark, "fig10", cells, key_seed=10, n_queries=2000, seed=1)
     spark.stop()
     base_h = {r["dataset"]: r["height"] for r in records if r["config"] == "uncompressed"}
-    mean_len = {}
-    for ds, n in nk.items():
-        keys = dataset_keys(ds, n, seed=KEY_SEED)
-        mean_len[ds] = sum(map(len, keys)) / len(keys)
     for r in records:
-        r["modeled_delta"] = modeled_latency_reduction(r["config"], r["cpr"], mean_len[r["dataset"]], base_h[r["dataset"]])
+        r["modeled_delta"] = modeled_latency_reduction(r["config"], r["cpr"], r["mean_key_len"], base_h[r["dataset"]])
     print(f"# wrote {write_records('fig10', records)}", file=sys.stderr)
     print_table(
         "Figure 10 — SuRF YCSB (Zipf)",

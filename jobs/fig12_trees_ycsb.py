@@ -3,9 +3,10 @@
 Seven configurations x three datasets x four indexes: point latency
 (Python wall-clock), memory (tree + dictionary), trie height where
 applicable, CPR. Each (dataset, tree, config) cell is one Spark task
-building its own in-memory tree (``_common.run_cells``). One record per
-cell goes to ``results/fig12.jsonl``; the markdown table printed on
-stdout is rendered from those records.
+that builds its own in-memory tree and runs only the YCSB-C point stream
+(``_common.run_cells``), so a record has no ``range_ns``/``insert_ns``.
+One record per cell goes to ``results/fig12.jsonl``; the markdown table
+printed on stdout is rendered from those records.
 
 Usage: spark-submit jobs/fig12_trees_ycsb.py [n_keys] > results/fig12.md
 """
@@ -26,7 +27,7 @@ def main(n_keys: int = 30_000) -> None:
     nk = {"email": n_keys, "wiki": n_keys, "url": n_keys // 3}
     cells = [(ds, n, tree, config) for ds, n in nk.items() for tree in TREES for config in CONFIGS]
     spark = get_spark("fig12")
-    records = run_cells(spark, "fig12", cells, key_seed=12, n_queries=1500, seed=2)
+    records = run_cells(spark, "fig12", cells, key_seed=12, n_queries=1500, seed=2, streams=("points",))
     spark.stop()
     print(f"# wrote {write_records('fig12', records)}", file=sys.stderr)
     print_table(

@@ -2,10 +2,10 @@
 B+tree, Prefix B+tree (email + wiki). A scan is a start key plus a
 count, so only its start key is encoded.
 
-Each (dataset, tree, config) cell is one Spark task building its own
-in-memory tree (``_common.run_cells``). One record per cell goes to
-``results/fig16.jsonl``; the markdown table printed on stdout is
-rendered from those records.
+Each (dataset, tree, config) cell is one Spark task that builds its own
+in-memory tree and runs only the YCSB-E stream (``_common.run_cells``),
+so a record has no ``point_ns``/``point_hit_rate``. One record per cell
+goes to ``results/fig16.jsonl``; the table is rendered from them.
 
 Usage: spark-submit jobs/fig16_range_insert.py [n_keys] > results/fig16.md
 """
@@ -25,7 +25,7 @@ TREES = tuple(t for t in harness.TREES if t != "surf")
 def main(n_keys: int = 15_000) -> None:
     cells = [(ds, n_keys, tree, config) for ds in ("email", "wiki") for tree in TREES for config in CONFIGS]
     spark = get_spark("fig16")
-    records = run_cells(spark, "fig16", cells, key_seed=16, n_queries=12_000, seed=3)
+    records = run_cells(spark, "fig16", cells, key_seed=16, n_queries=12_000, seed=3, streams=("ranges",))
     spark.stop()
     print(f"# wrote {write_records('fig16', records)}", file=sys.stderr)
     print_table(

@@ -153,11 +153,6 @@ def keys_df(spark: SparkSession, keys: Sequence[bytes]) -> DataFrame:
     return spark.createDataFrame(pd.DataFrame({"key": list(keys)}), "key binary")
 
 
-def dataset_df(spark: SparkSession, name: str, n: int, seed: int = 0) -> DataFrame:
-    """The dataset as a one-column Spark DataFrame (``key`` binary)."""
-    return keys_df(spark, dataset_keys(name, n, seed))
-
-
 def email_split_ab(n: int, seed: int = 0):
     """Appendix C split: Email-A = gmail+yahoo accounts, Email-B = the rest."""
     keys = email_keys(n, seed)

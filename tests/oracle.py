@@ -1,4 +1,4 @@
-"""DuckDB correctness oracle.
+"""DuckDB correctness oracle for the Spark tests, and the dataset DataFrames they query.
 
 ``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
 over ``tables`` and asserts the sorted rows match ``spark_df`` (the
@@ -13,7 +13,14 @@ columns are not orderable so cannot be compared here.
 """
 import duckdb
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
+
+from repro.workloads.datasets import dataset_keys, keys_df
+
+
+def dataset_df(spark: SparkSession, name: str, n: int, seed: int = 0) -> DataFrame:
+    """The dataset as a one-column Spark DataFrame (``key`` binary)."""
+    return keys_df(spark, dataset_keys(name, n, seed))
 
 
 def _canon(pdf: pd.DataFrame) -> pd.DataFrame:

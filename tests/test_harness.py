@@ -157,3 +157,35 @@ def test_memory_read_once_per_cell(monkeypatch):
     monkeypatch.setattr(harness.HOT, "memory_bytes", lambda self: calls.append(self) or real(self))
     run_tree_bench("hot", "uncompressed", KEYS, n_queries=50)
     assert len(calls) == 1
+
+
+def _forbid(monkeypatch, *names):
+    """Make a call of any ``harness.<name>`` fail the test."""
+    for name in names:
+        monkeypatch.setattr(harness, name, lambda *a, _name=name, **k: pytest.fail(f"{_name} was called"))
+
+
+@pytest.mark.parametrize("tree", TREES)
+def test_points_only_cell_runs_no_range_stream(tree, monkeypatch):
+    """Fig. 12's cell: no scan, insert or SuRF range is drawn, and the load fields are the pinned ones."""
+    _forbid(monkeypatch, "workload_e", "surf_range_queries")
+    r = run_tree_bench(tree, "double", KEYS, n_queries=200, streams=("points",))
+    assert tuple(r[f] for f in PINNED_FIELDS) == PINNED_CELLS[tree, "double"]
+    assert not {"range_ns", "insert_ns"} & set(r)
+
+
+@pytest.mark.parametrize("tree", TREES)
+def test_range_only_cell_runs_no_point_stream(tree, monkeypatch):
+    """Fig. 16's cell: no point query is drawn, and the load fields are the pinned ones."""
+    _forbid(monkeypatch, "workload_c")
+    r = run_tree_bench(tree, "double", KEYS, n_queries=200, streams=("ranges",))
+    assert tuple(r[f] for f in PINNED_FIELDS[:-1]) == PINNED_CELLS[tree, "double"][:-1]
+    assert r["range_ns"] > 0 and not {"point_ns", "point_hit_rate"} & set(r)
+
+
+@pytest.mark.parametrize("ds", ["email", "url"])
+def test_mean_key_len_is_the_mean_of_the_input_keys(ds):
+    """Fig. 10's modeled column reads this field instead of regenerating the dataset."""
+    keys = dataset_keys(ds, 900, seed=10)
+    r = run_tree_bench("surf", "single", keys, n_queries=20)
+    assert r["mean_key_len"] == sum(map(len, keys)) / len(keys)

@@ -1,5 +1,6 @@
 """Tests for the figure jobs (``jobs/``): every job imports, and the shared
-cell runner of Figs 10, 12 and 16 returns one record per cell, in order."""
+cell runner of Figs 10, 12 and 16 returns one record per cell, in order,
+from the op streams its figure names."""
 import glob
 import importlib.util
 import os
@@ -39,3 +40,10 @@ def test_run_cells_one_record_per_cell_in_order(spark):
         assert (r["n_keys"], r["memory_bytes"], r["height"], r["cpr"]) == (
             local["n_keys"], local["memory_bytes"], local["height"], local["cpr"])
     assert spark.range(3).count() == 3  # the caller's session is still up
+
+
+def test_run_cells_runs_only_the_named_streams(spark):
+    cells = [("email", 300, "btree", "single"), ("wiki", 300, "surf", "uncompressed")]
+    records = _common.run_cells(spark, "fig12", cells, key_seed=5, n_queries=40, seed=1, streams=("points",))
+    assert [r["point_hit_rate"] for r in records] == [1.0, 1.0]
+    assert not any({"range_ns", "insert_ns"} & set(r) for r in records)

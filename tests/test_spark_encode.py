@@ -10,8 +10,8 @@ from pyspark.sql import functions as F
 from repro.core.hope import build_hope
 from repro.core.spark_encode import check_order_preserved, encode_df, encoded_range_filter
 from repro.core.spark_select import sample_keys
-from repro.oracle import assert_equivalent
-from repro.workloads.datasets import dataset_df
+
+from .oracle import assert_equivalent, dataset_df
 
 
 @pytest.fixture(scope="module")

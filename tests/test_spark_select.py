@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.spark_select import gram_freqs, sample_keys, substring_freqs, suffix_freqs
 from repro.core.symbol_select import count_grams, count_substrings, count_suffixes
-from repro.workloads.datasets import dataset_df, keys_df
+from repro.workloads.datasets import keys_df
+
+from .oracle import dataset_df
 
 
 @pytest.fixture(scope="module")

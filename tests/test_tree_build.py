@@ -75,8 +75,11 @@ def test_build_rejects_unsorted_or_duplicate_keys(tree, keys):
 @pytest.mark.parametrize("tree", SCANNING, ids=lambda t: t.__name__)
 @pytest.mark.parametrize("n_values", [2, 4])
 def test_rejects_values_of_another_length(tree, n_values):
-    with pytest.raises(ValueError):
-        tree().build([b"a", b"b", b"c"], list(range(n_values)))
+    t = tree()
+    t.build([b"a"], ["x"])
+    with pytest.raises(ValueError, match=f"{n_values} values for 3 keys"):
+        t.build([b"a", b"b", b"c"], list(range(n_values)))
+    assert (len(t), t.lookup(b"a")) == (1, "x")  # the old contents stay
 
 
 @pytest.mark.parametrize("tree", SCANNING, ids=lambda t: t.__name__)
